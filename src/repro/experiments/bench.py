@@ -67,7 +67,7 @@ def _environment() -> dict:
     """Host fingerprint stored next to ``git_rev`` in every artifact.
 
     Wall-clock numbers are only comparable when they were measured on
-    the same interpreter with the same fast-path dependencies;
+    the same interpreter, platform and numpy build;
     ``diff_records`` warns (never fails) when two artifacts disagree
     here, so a cross-machine comparison is flagged as apples-to-oranges
     instead of read as a regression.

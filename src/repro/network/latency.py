@@ -33,21 +33,6 @@ from typing import Dict, List, Tuple
 from ..sim.random import RandomRouter, derive_seed
 from .isp import ISP, ISPCategory
 
-try:
-    # numpy is optional and only ever vectorises elementwise float64
-    # arithmetic (*, /, +, <) — operations IEEE 754 defines exactly, so
-    # results are bit-identical to the scalar path.  RNG draws and
-    # math.exp stay in pure Python on both paths: their sequences and
-    # roundings are part of the determinism contract.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-#: Below this cohort size the numpy array round-trip (five list->array
-#: conversions plus ``.tolist()``) costs more than the scalar loop it
-#: replaces; measured crossover on CPython 3.11 sits near 48 elements.
-_NUMPY_MIN_BATCH = 48
-
 
 class PairClass(enum.Enum):
     INTRA_ISP = "intra_isp"
@@ -279,86 +264,12 @@ class LatencyModel:
             delay += wire_bytes * 8.0 / rate
         return delay
 
+    # The transport draws per packet; this cohort form stays only because
+    # the layer benchmark (perfbench/layers.py) wraps it as a seam.
     def one_way_delays(self, items: List[tuple]) -> List[float]:
-        """Batched :meth:`one_way_delay` for one send cohort.
-
-        ``items`` holds ``(addr_src, isp_src, addr_dst, isp_dst,
-        wire_bytes)`` tuples with ``wire_bytes > 0`` (transport always
-        bills the datagram header).  Exactly one jitter draw per item,
-        in item order, so the jitter stream advances identically to
-        per-packet calls; base-RTT cache misses draw from their own
-        per-pair forked streams and cannot perturb it.  The returned
-        delays are bit-identical to the scalar path: numpy (when
-        present, for cohorts worth the array round-trip) only performs
-        exactly-rounded elementwise arithmetic, while ``math.exp`` and
-        the gauss draws stay in Python either way.
-        """
-        gauss = self._jitter_rng.gauss
-        sigma = self._jitter_sigma
-        jitter_max = self._jitter_max
-        exp = math.exp
-        pair_params = self._pair_params
-        if (_np is not None and not self._overrides
-                and len(items) >= _NUMPY_MIN_BATCH):
-            base_rtt = self.base_rtt
-            bases = [base_rtt(addr_src, isp_src, addr_dst, isp_dst) / 2.0
-                     for addr_src, isp_src, addr_dst, isp_dst, _wire in items]
-            jitters = []
-            for _ in items:
-                jitter = exp(gauss(0.0, sigma))
-                jitters.append(jitter_max if jitter > jitter_max else jitter)
-            rates = [pair_params(isp_src, isp_dst)[2]
-                     for _a, isp_src, _b, isp_dst, _wire in items]
-            wires = [float(item[4]) for item in items]
-            delays = (_np.asarray(bases) * _np.asarray(jitters)
-                      + _np.asarray(wires) * 8.0 / _np.asarray(rates))
-            return delays.tolist()
-        overrides_by_class = self._overrides
-        base_cache = self._base_rtt_cache
-        pair_cache = self._pair_cache
-        out = []
-        append = out.append
-        if not overrides_by_class:
-            # Steady-state scalar loop, fused per item: the base-RTT
-            # and pair-parameter caches are probed inline and the
-            # jitter draw happens right after — legal because cache
-            # misses draw from per-pair forked streams, never from the
-            # jitter stream, so its per-item draw order is untouched.
-            base_rtt = self.base_rtt
-            for addr_src, isp_src, addr_dst, isp_dst, wire_bytes in items:
-                key = ((addr_src, addr_dst) if addr_src <= addr_dst
-                       else (addr_dst, addr_src))
-                base = base_cache.get(key)
-                if base is None:
-                    base = base_rtt(addr_src, isp_src, addr_dst, isp_dst)
-                jitter = exp(gauss(0.0, sigma))
-                if jitter > jitter_max:
-                    jitter = jitter_max
-                params = pair_cache.get((isp_src.asn, isp_dst.asn))
-                if params is None:
-                    params = pair_params(isp_src, isp_dst)
-                append(base * 0.5 * jitter
-                       + wire_bytes * 8.0 / params[2])
-            return out
-        base_rtt = self.base_rtt
-        for addr_src, isp_src, addr_dst, isp_dst, wire_bytes in items:
-            base = base_rtt(addr_src, isp_src, addr_dst, isp_dst) / 2.0
-            jitter = exp(gauss(0.0, sigma))
-            if jitter > jitter_max:
-                jitter = jitter_max
-            delay = base * jitter
-            pair_class, _, rate = pair_params(isp_src, isp_dst)
-            overrides = overrides_by_class.get(pair_class)
-            if overrides:
-                for override in overrides:
-                    delay *= override.latency_multiplier
-            if wire_bytes > 0:
-                if overrides:
-                    for override in overrides:
-                        rate *= override.bandwidth_multiplier
-                delay += wire_bytes * 8.0 / rate
-            append(delay)
-        return out
+        """:meth:`one_way_delay` per ``(addr_src, isp_src, addr_dst,
+        isp_dst, wire_bytes)`` item, in item order."""
+        return [self.one_way_delay(*item) for item in items]
 
     def is_lost(self, isp_src: ISP, isp_dst: ISP) -> bool:
         """Bernoulli loss draw for a packet on this path.
@@ -375,47 +286,10 @@ class LatencyModel:
             probability = min(probability, 1.0)
         return self._loss_rng.random() < probability
 
+    # Kept for the same reason as one_way_delays: a perfbench seam.
     def are_lost(self, pairs: List[tuple]) -> List[bool]:
-        """Batched :meth:`is_lost` for one send cohort.
-
-        ``pairs`` holds ``(isp_src, isp_dst)`` tuples.  Exactly one loss
-        draw per pair, in pair order — the loss stream advances exactly
-        as it would under per-packet calls.  The comparison is
-        bit-exact under numpy too (``<`` on float64 has one defined
-        answer), so both paths return identical verdicts.
-        """
-        pair_params = self._pair_params
-        overrides_by_class = self._overrides
-        random_draw = self._loss_rng.random
-        if not overrides_by_class and len(pairs) < _NUMPY_MIN_BATCH:
-            # Steady-state scalar loop, fused per pair: probability
-            # lookup and loss draw together, one draw per pair in pair
-            # order — the same stream positions as the phased path.
-            pair_cache = self._pair_cache
-            out = []
-            append = out.append
-            for isp_src, isp_dst in pairs:
-                params = pair_cache.get((isp_src.asn, isp_dst.asn))
-                if params is None:
-                    params = pair_params(isp_src, isp_dst)
-                append(random_draw() < params[1])
-            return out
-        probabilities = []
-        for isp_src, isp_dst in pairs:
-            pair_class, probability, _ = pair_params(isp_src, isp_dst)
-            overrides = overrides_by_class.get(pair_class)
-            if overrides:
-                for override in overrides:
-                    probability = (probability * override.loss_multiplier
-                                   + override.extra_loss)
-                probability = min(probability, 1.0)
-            probabilities.append(probability)
-        draws = [random_draw() for _ in probabilities]
-        if _np is not None and len(pairs) >= _NUMPY_MIN_BATCH:
-            lost = _np.asarray(draws) < _np.asarray(probabilities)
-            return lost.tolist()
-        return [draw < probability
-                for draw, probability in zip(draws, probabilities)]
+        """:meth:`is_lost` per ``(isp_src, isp_dst)`` pair, in pair order."""
+        return [self.is_lost(isp_src, isp_dst) for isp_src, isp_dst in pairs]
 
     def cache_size(self) -> int:
         """Number of pairwise base RTTs drawn so far (test/diagnostic)."""

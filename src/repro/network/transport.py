@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..fastpath import reference_path_enabled
 from ..obs import DEBUG, WARNING, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..sim.engine import Simulator
@@ -110,9 +109,8 @@ class Host:
     def send_many(self, sends: List[tuple]) -> None:
         """Transmit a cohort of ``(dst, payload, payload_bytes)`` triples.
 
-        Semantically identical to calling :meth:`send` per triple in
-        order; the network batches the per-datagram bookkeeping and RNG
-        draws (see :meth:`UdpNetwork.send_many`).
+        Exactly :meth:`send` per triple, in order: callers build the
+        cohort so a fan-out round serialises its message once.
         """
         self.network.send_many(self, sends)
 
@@ -152,9 +150,6 @@ class UdpNetwork:
         #: handed over instead of recomputed (see set_flow_sink).
         self._flow_sink: Optional[Callable[[Datagram, float, int], None]] \
             = None
-        #: Sampled at construction (see repro.fastpath): when set, the
-        #: cohort send path degrades to per-datagram reference sends.
-        self._reference_path = reference_path_enabled()
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.datagrams_lost = 0
@@ -381,156 +376,10 @@ class UdpNetwork:
         return True
 
     def send_many(self, src_host: Host, sends: List[tuple]) -> None:
-        """Send a cohort of datagrams from one host in a single pass.
-
-        ``sends`` holds ``(dst, payload, payload_bytes)`` triples in
-        transmit order.  Byte-identical in outcome to calling
-        :meth:`send` once per triple: the uplink arithmetic runs first
-        for every datagram (in order, no RNG), then the loss draws for
-        the uplink survivors, then the jitter draws for the unlost —
-        and because loss and jitter live on separate RNG streams, each
-        stream still sees its draws in exact per-packet order.  What
-        changes is wall-clock cost: per-datagram bookkeeping is
-        amortised over the cohort, the draws are batched through
-        :meth:`LatencyModel.are_lost` / :meth:`~LatencyModel.
-        one_way_delays`, and deliveries landing on the same timestamp
-        collapse into one cohort event (each member still counted in
-        ``events_executed``, so engine digests match the unbatched
-        path).  ``REPRO_REFERENCE_PATH=1`` forces the per-datagram
-        reference path instead.  Within-cohort trace/tap emission
-        groups by phase rather than by packet; event outcomes and
-        counters are unaffected.
-        """
-        if self._reference_path or len(sends) < 2:
-            for dst, payload, payload_bytes in sends:
-                self.send(src_host, dst, payload, payload_bytes)
-            return
-        sim = self.sim
-        now = sim.clock._now
-        taps = self._taps
-        send_taps = self._send_taps
-        trace = self._trace
-        spans = self._spans
-        obs_enabled = self._obs_enabled
-        hosts = self._hosts
-        uplink = src_host.uplink
-        enqueue = uplink.enqueue
-        src_address = src_host.address
-        src_isp = src_host.isp
-        survivors = []
-        keep = survivors.append
-        # Cohort-constant counters fold into one update each; per-packet
-        # increments stay per-packet only where a drop can interleave.
-        self.datagrams_sent += len(sends)
-        if obs_enabled:
-            self._m_sent.inc(len(sends))
-        queued_bytes = 0
+        """Send a cohort of ``(dst, payload, payload_bytes)`` triples from
+        one host, in order: exactly :meth:`send` per triple."""
         for dst, payload, payload_bytes in sends:
-            datagram = Datagram(src=src_address, dst=dst, payload=payload,
-                                payload_bytes=payload_bytes, sent_at=now)
-            wire_bytes = payload_bytes + HEADER_BYTES
-            if obs_enabled:
-                self._m_messages_sent.labeled(type(payload).__name__).inc()
-                self._h_backlog.observe(uplink.backlog(now))
-            uplink_delay = enqueue(wire_bytes, now)
-            if uplink_delay is None:
-                self.datagrams_dropped_uplink += 1
-                self._m_dropped_uplink.inc()
-                if trace.enabled_for(WARNING):
-                    trace.emit(now, WARNING, "uplink_tail_drop",
-                               src=src_address, dst=dst,
-                               wire_bytes=wire_bytes,
-                               msg=type(payload).__name__)
-                if spans.enabled:
-                    spans.instant("uplink_tail_drop", "net", now,
-                                  actor=src_address, dst=dst,
-                                  msg=type(payload).__name__)
-                if taps:
-                    self._notify("drop_uplink", datagram, now)
-                continue
-            queued_bytes += wire_bytes
-            if send_taps:
-                for tap in send_taps:
-                    tap("send", datagram, now)
-            dst_host = hosts.get(dst)
-            keep((datagram, wire_bytes, uplink_delay,
-                  dst_host.isp if dst_host is not None else None))
-        if queued_bytes and obs_enabled:
-            self._m_bytes_queued.inc(queued_bytes)
-        if not survivors:
-            return
-        latency = self.latency
-        # Loss draws: one per survivor with a known destination, in
-        # cohort order — unknown destinations skip the draw, as in
-        # send().
-        loss_pairs = [(src_isp, dst_isp)
-                      for _d, _w, _u, dst_isp in survivors
-                      if dst_isp is not None]
-        verdicts = latency.are_lost(loss_pairs) if loss_pairs else ()
-        alive = []
-        items = []
-        verdict_index = 0
-        for entry in survivors:
-            dst_isp = entry[3]
-            if dst_isp is not None:
-                lost = verdicts[verdict_index]
-                verdict_index += 1
-                if lost:
-                    datagram = entry[0]
-                    self.datagrams_lost += 1
-                    self._m_lost.inc()
-                    if trace.enabled_for(DEBUG):
-                        trace.emit(now, DEBUG, "path_loss",
-                                   src=src_address, dst=datagram.dst,
-                                   msg=type(datagram.payload).__name__)
-                    if taps:
-                        self._notify("drop_loss", datagram, now)
-                    continue
-            alive.append(entry)
-            # Unknown destination: approximate propagation with the
-            # source's intra-ISP delay, exactly as send() does.
-            items.append((src_address, src_isp, entry[0].dst,
-                          dst_isp if dst_isp is not None else src_isp,
-                          entry[1]))
-        if not alive:
-            return
-        delays = latency.one_way_delays(items)
-        post = sim.post
-        deliver = self._deliver
-        # Group same-timestamp deliveries into one cohort event.  All
-        # cohort members were scheduled back to back, so merging
-        # equal-time members preserves their relative (seq) order; ties
-        # against events scheduled elsewhere are unaffected.
-        groups: Dict[float, list] = {}
-        order = []
-        for entry, propagation in zip(alive, delays):
-            deliver_at = now + entry[2] + propagation
-            bucket = groups.get(deliver_at)
-            if bucket is None:
-                groups[deliver_at] = [entry[0]]
-                order.append(deliver_at)
-            else:
-                bucket.append(entry[0])
-        for deliver_at in order:
-            bucket = groups[deliver_at]
-            if len(bucket) == 1:
-                post(deliver_at, deliver, bucket[0], label="udp-deliver")
-            else:
-                post(deliver_at, self._deliver_cohort, bucket,
-                     label="udp-deliver")
-
-    def _deliver_cohort(self, datagrams: list) -> None:
-        """Deliver a same-timestamp cohort scheduled as one event.
-
-        Every member past the first is folded into ``events_executed``
-        here, so the engine's event ledger (and the golden digests built
-        on it) is identical whether the cohort was dispatched as one
-        batched callback or as individual delivery events.
-        """
-        self.sim.events_executed += len(datagrams) - 1
-        deliver = self._deliver
-        for datagram in datagrams:
-            deliver(datagram)
+            self.send(src_host, dst, payload, payload_bytes)
 
     def _deliver(self, datagram: Datagram) -> None:
         host = self._hosts.get(datagram.dst)

@@ -33,13 +33,6 @@ class NeighborState:
     #: Learned estimate of availability staleness correction (chunks),
     #: decreased when an extrapolated request comes back as a miss.
     availability_bias: float = 0.0
-    #: Bumped whenever any input of :meth:`estimated_have` changes
-    #: (``reported_have``/``reported_at``/``reported_from``/
-    #: ``availability_bias``).  The scheduler's incremental availability
-    #: cache keys on it: an unchanged epoch means the cached estimate is
-    #: still exact, so the per-tick extrapolation is only recomputed for
-    #: neighbors whose buffer-map reports actually moved.
-    avail_epoch: int = 0
     #: Application-level round-trip observed on the connection handshake
     #: (Hello -> HelloAck); the client's first latency signal about the
     #: neighbor, available before any data flows.
@@ -62,13 +55,6 @@ class NeighborState:
     bytes_received: int = 0
     peer_lists_received: int = 0
 
-    #: Owning :class:`NeighborTable`, set by :meth:`NeighborTable.add`.
-    #: Deliberately a plain class attribute, not a dataclass field: it
-    #: stays out of ``asdict`` snapshots and equality, and exists only
-    #: so mutations can bump the table's change ``version`` (which the
-    #: scheduler's cached availability view keys on).
-    _owner = None
-
     def record_availability(self, have_until: int, now: float,
                             have_from: int = None) -> None:
         """Update the advertised availability from a piggybacked report."""
@@ -76,14 +62,7 @@ class NeighborState:
             self.reported_have = have_until
             self.reported_at = now
             self.availability_bias = max(self.availability_bias - 0.5, 0.0)
-            self.avail_epoch += 1
-            if self._owner is not None:
-                self._owner.version += 1
         if have_from is not None:
-            if have_from != self.reported_from:
-                self.avail_epoch += 1
-                if self._owner is not None:
-                    self._owner.version += 1
             self.reported_from = have_from
         self.last_heard = now
 
@@ -148,25 +127,7 @@ class NeighborState:
         """An extrapolated request missed: grow the staleness correction."""
         self.data_misses += 1
         self.availability_bias = min(self.availability_bias + 1.0, 16.0)
-        self.bump_avail_epoch()
         self.last_heard = now
-
-    def bump_avail_epoch(self) -> None:
-        """Mark the availability inputs changed (and notify the table)."""
-        self.avail_epoch += 1
-        if self._owner is not None:
-            self._owner.version += 1
-
-    def set_cooldown(self, until: float) -> None:
-        """Set the data-request cooldown (and notify the table).
-
-        Cooldown filtering happens inside the scheduler's availability
-        view, so flipping it must invalidate the cached view just like
-        an availability change does.
-        """
-        self.cooldown_until = until
-        if self._owner is not None:
-            self._owner.version += 1
 
 
 class NeighborTable:
@@ -178,11 +139,6 @@ class NeighborTable:
         self.capacity = capacity
         self._neighbors: Dict[str, NeighborState] = {}
         self.total_ever_connected = 0
-        #: Monotone change counter covering everything the scheduler's
-        #: availability view reads: membership (and hence iteration
-        #: order), each neighbor's availability inputs, and cooldowns.
-        #: An unchanged version means a cached view is still exact.
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._neighbors)
@@ -211,18 +167,12 @@ class NeighborTable:
             raise OverflowError("neighbor table full")
         state = NeighborState(address=address, connected_at=now,
                               last_heard=now)
-        state._owner = self
         self._neighbors[address] = state
         self.total_ever_connected += 1
-        self.version += 1
         return state
 
     def remove(self, address: str) -> Optional[NeighborState]:
-        state = self._neighbors.pop(address, None)
-        if state is not None:
-            state._owner = None
-            self.version += 1
-        return state
+        return self._neighbors.pop(address, None)
 
     def silent_since(self, cutoff: float) -> List[str]:
         """Neighbors not heard from since ``cutoff`` (candidates to drop)."""
@@ -258,6 +208,4 @@ class NeighborTable:
         self._neighbors = {}
         for fields in state["neighbors"]:
             neighbor = NeighborState(**fields)
-            neighbor._owner = self
             self._neighbors[neighbor.address] = neighbor
-        self.version += 1

@@ -26,7 +26,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..fastpath import fastpath_verify_enabled, reference_path_enabled
 from ..obs import WARNING, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..sim.engine import Simulator
@@ -135,26 +134,6 @@ class DataScheduler:
         self._next_seq = 1
         self._source_inflight = 0
         self._source_cooldown_until = 0.0
-        # Fast-path state (see repro.fastpath).  Instead of rebuilding
-        # the availability snapshot and re-scanning every window chunk
-        # from scratch each tick, the fast tick keeps two incremental
-        # structures: an epoch-keyed cache of per-neighbor availability
-        # estimates (recomputed only when the neighbor's report moved or
-        # its extrapolation quantum expired) and the set of window
-        # chunks known to have no plannable sub-piece run (invalidated
-        # when an in-flight request over the chunk settles).  The
-        # from-scratch rebuild stays alive as the reference path, and
-        # REPRO_FASTPATH_VERIFY=1 asserts the two agree on every tick.
-        self._reference_path = reference_path_enabled()
-        self._verify = fastpath_verify_enabled()
-        self._avail_cache: Dict[str, tuple] = {}
-        self._saturated: set = set()
-        #: Whole-view cache layered on top of ``_avail_cache``:
-        #: ``(table_version, horizon, view, max_est)``.  Valid while the
-        #: neighbor table's change counter is unchanged and ``now`` is
-        #: before the horizon (the earliest cooldown expiry or
-        #: extrapolation-quantum boundary that could alter the view).
-        self._view_cache: Optional[tuple] = None
         # Accounting
         self.requests_issued = 0
         self.requests_to_source = 0
@@ -213,54 +192,12 @@ class DataScheduler:
         if budget <= 0 or chunk > window_top:
             return
         # Availability and cooldown are stable within one tick: evaluate
-        # each neighbor once here instead of per candidate chunk.  The
-        # fast path reuses cached estimates and skips chunks proven
-        # unplannable; the reference path rebuilds everything.
-        fast = not self._reference_path
-        if fast:
-            availability, max_est = self._availability_view()
-            saturated = self._saturated
-        else:
-            availability = self._availability_snapshot()
-        issues = None
+        # each neighbor once here instead of per candidate chunk.
+        availability = self._availability_snapshot()
+        issues = []
         while chunk <= window_top and budget > 0:
-            if fast:
-                if chunk in saturated:
-                    if self._verify:
-                        assert self._next_missing_run(chunk) is None, chunk
-                    chunk += 1
-                    continue
-                if chunk > max_est:
-                    # Chunks beyond every neighbor's extrapolated
-                    # availability can only go to the source: resolve
-                    # the (draw-free) fallback before paying for the
-                    # sub-piece scan, since it usually declines.
-                    if self._verify:
-                        limit = self.config.per_neighbor_inflight
-                        assert not [s for est, have_from, s in availability
-                                    if est >= chunk >= have_from
-                                    and s.inflight < limit], chunk
-                    target = self._source_fallback(chunk <= urgent_until)
-                    if target is None:
-                        chunk += 1
-                        continue
-                    run = self._next_missing_run(chunk)
-                    if run is None:
-                        saturated.add(chunk)
-                        chunk += 1
-                        continue
-                    first, last = run
-                    issue = self._issue(target, chunk, first, last)
-                    if issues is None:
-                        issues = [issue]
-                    else:
-                        issues.append(issue)
-                    budget -= 1
-                    continue
             run = self._next_missing_run(chunk)
             if run is None:
-                if fast:
-                    saturated.add(chunk)
                 chunk += 1
                 continue
             first, last = run
@@ -269,15 +206,11 @@ class DataScheduler:
             if target is None:
                 chunk += 1
                 continue
-            issue = self._issue(target, chunk, first, last)
-            if issues is None:
-                issues = [issue]
-            else:
-                issues.append(issue)
+            issues.append(self._issue(target, chunk, first, last))
             budget -= 1
             # Allow several batches of the same chunk in one tick, going
             # to (possibly) different neighbors.
-        if issues is None:
+        if not issues:
             return
         # Transmit after planning completes: the tick's requests form
         # one send cohort.  Loss/jitter/scheduler RNG streams are
@@ -291,156 +224,36 @@ class DataScheduler:
                 send_request(address, issued_chunk, first, last, seq)
 
     def _availability_snapshot(self) -> List[tuple]:
-        """(estimated_have, have_from, state) per usable neighbor."""
+        """(estimated_have, have_from, state) per usable neighbor.
+
+        The estimate is :meth:`NeighborState.estimated_have`'s arithmetic,
+        inlined because this loop runs per neighbor per tick.
+        """
         now = self.sim.now
         cfg = self.config
         chunk_seconds = self.geometry.chunk_seconds
         slope = cfg.availability_slope
         margin = cfg.availability_margin
-        max_extrapolation = cfg.max_extrapolation_chunks
+        max_progress = cfg.max_extrapolation_chunks
         source = self.source_address
         snapshot = []
         append = snapshot.append
         for state in self.neighbors:
             if state.address == source or state.cooldown_until > now:
                 continue
-            est = state.estimated_have(now, chunk_seconds, slope, margin,
-                                       max_extrapolation)
+            reported = state.reported_have
+            if reported < 0:
+                continue
+            if max_progress > 0:
+                elapsed = now - state.reported_at
+                if elapsed < 0.0:
+                    elapsed = 0.0
+                reported += min(int(slope * elapsed / chunk_seconds),
+                                max_progress)
+            est = reported - margin - int(state.availability_bias)
             if est >= 0:
                 append((est, state.reported_from, state))
         return snapshot
-
-    def _availability_view(self) -> tuple:
-        """Incrementally cached ``(snapshot, max_est)`` (fast path).
-
-        Same content and order as :meth:`_availability_snapshot`, plus
-        the largest estimate in it (the planning ceiling).  Two cache
-        layers keep the per-tick cost near zero in steady state:
-
-        * The whole view is reused as long as the neighbor table's
-          change ``version`` is untouched (no report, membership or
-          cooldown change) and ``now`` is before the view's *horizon* —
-          the earliest instant a cooldown expiry or extrapolation
-          quantum could alter it.
-        * On a rebuild, each neighbor's extrapolated estimate is
-          recomputed only when its report epoch moved or its cached
-          extrapolation quantum expired; otherwise the cached value is
-          exactly what a fresh computation would produce.
-        """
-        now = self.sim.now
-        table = self.neighbors
-        version = table.version
-        cached = self._view_cache
-        if (cached is not None and cached[0] == version
-                and now < cached[1] and not self._verify):
-            return cached[2], cached[3]
-        source = self.source_address
-        snapshot = []
-        append = snapshot.append
-        max_est = -1
-        horizon = math.inf
-        if self.config.max_extrapolation_chunks <= 0:
-            # Default config: no extrapolation, so the estimate is a
-            # pure (and cheap) function of per-neighbor state — inline
-            # it rather than paying for the quantum cache.
-            margin = self.config.availability_margin
-            for state in table:
-                if state.address == source:
-                    continue
-                cooldown_until = state.cooldown_until
-                if cooldown_until > now:
-                    # The neighbor re-enters the view when its cooldown
-                    # lapses, with no table mutation to signal it: cap
-                    # the view's validity at that instant.
-                    if cooldown_until < horizon:
-                        horizon = cooldown_until
-                    continue
-                reported = state.reported_have
-                if reported < 0:
-                    continue
-                est = reported - margin - int(state.availability_bias)
-                if est >= 0:
-                    append((est, state.reported_from, state))
-                    if est > max_est:
-                        max_est = est
-        else:
-            cache = self._avail_cache
-            for state in table:
-                if state.address == source:
-                    continue
-                cooldown_until = state.cooldown_until
-                if cooldown_until > now:
-                    if cooldown_until < horizon:
-                        horizon = cooldown_until
-                    continue
-                epoch = state.avail_epoch
-                entry = cache.get(state.address)
-                if entry is not None and entry[0] == epoch and now < entry[2]:
-                    est = entry[1]
-                    valid_until = entry[2]
-                else:
-                    est, valid_until = self._estimate(state, now)
-                    cache[state.address] = (epoch, est, valid_until)
-                if valid_until < horizon:
-                    horizon = valid_until
-                if est >= 0:
-                    append((est, state.reported_from, state))
-                    if est > max_est:
-                        max_est = est
-        self._view_cache = (version, horizon, snapshot, max_est)
-        if self._verify:
-            reference = self._availability_snapshot()
-            assert snapshot == reference, (snapshot, reference)
-        return snapshot, max_est
-
-    def _estimate(self, state: NeighborState, now: float) -> tuple:
-        """``(estimated_have, valid_until)`` for one neighbor.
-
-        Mirrors :meth:`NeighborState.estimated_have` exactly, and adds
-        the first future instant at which the quantised extrapolation
-        could change.  ``valid_until`` shrinks the predicted expiry by a
-        1e-9 relative margin so float rounding in the inverse
-        computation can only expire a cache entry early (a harmless
-        recompute), never late.
-        """
-        if state.reported_have < 0:
-            return -1, math.inf
-        cfg = self.config
-        max_progress = cfg.max_extrapolation_chunks
-        if max_progress > 0:
-            slope = cfg.availability_slope
-            chunk_seconds = self.geometry.chunk_seconds
-            elapsed = now - state.reported_at
-            if elapsed < 0.0:
-                elapsed = 0.0
-            progress = int(slope * elapsed / chunk_seconds)
-            if progress >= max_progress:
-                progress = max_progress
-                valid_until = math.inf
-            elif slope > 0.0:
-                step = chunk_seconds * (progress + 1) / slope
-                valid_until = state.reported_at + step * (1.0 - 1e-9)
-            else:
-                # Non-positive slope: quantised progress is not monotone
-                # in time, so never trust a cached value across ticks.
-                valid_until = now
-        else:
-            progress = 0
-            valid_until = math.inf
-        est = (state.reported_have + progress - cfg.availability_margin
-               - int(state.availability_bias))
-        return est, valid_until
-
-    def invalidate_caches(self) -> None:
-        """Drop all incrementally maintained fast-path state.
-
-        Called after an external restore rewrites neighbor or buffer
-        state underneath the scheduler; the caches rebuild lazily (and
-        exactly) on the next tick.
-        """
-        self._avail_cache.clear()
-        self._saturated.clear()
-        self._view_cache = None
 
     def _next_missing_run(self, chunk: int) -> Optional[tuple]:
         """Longest contiguous run of unrequested missing sub-pieces.
@@ -468,10 +281,8 @@ class DataScheduler:
         return first, first + trailing - 1
 
     def _pick_neighbor(self, chunk: int, is_urgent: bool,
-                       availability: Optional[List[tuple]] = None
+                       availability: List[tuple]
                        ) -> Optional[NeighborState]:
-        if availability is None:
-            availability = self._availability_snapshot()
         limit = self.config.per_neighbor_inflight
         eligible = [state for est, have_from, state in availability
                     if est >= chunk >= have_from
@@ -495,9 +306,7 @@ class DataScheduler:
     def _source_fallback(self, is_urgent: bool) -> Optional[NeighborState]:
         """Empty-eligibility fallback: the channel source, or nothing.
 
-        Draw-free, which is what lets the fast path take it directly
-        for chunks above the availability ceiling without perturbing
-        the scheduler RNG stream.
+        Draw-free: falling back never advances the scheduler RNG stream.
         """
         if (is_urgent and self.source_address is not None
                 and self._source_inflight
@@ -591,7 +400,7 @@ class DataScheduler:
         neighbor = self.neighbors.get(pending.neighbor)
         if neighbor is not None:
             neighbor.record_miss(self.sim.now)
-            neighbor.set_cooldown(self.sim.now + self.config.miss_cooldown)
+            neighbor.cooldown_until = self.sim.now + self.config.miss_cooldown
             self._m_cooldowns.inc()
             if have_until >= 0:
                 # A miss is the most authoritative availability signal:
@@ -599,7 +408,6 @@ class DataScheduler:
                 neighbor.reported_have = have_until
                 neighbor.reported_at = self.sim.now
                 neighbor.reported_from = have_from
-                neighbor.bump_avail_epoch()
 
     def on_poisoned(self, seq: int) -> bool:
         """Handle a reply whose payload failed integrity verification.
@@ -627,8 +435,8 @@ class DataScheduler:
                              chunk=pending.chunk)
         neighbor = self.neighbors.get(pending.neighbor)
         if neighbor is not None:
-            neighbor.set_cooldown(self.sim.now
-                                  + self.config.timeout_cooldown)
+            neighbor.cooldown_until = (self.sim.now
+                                       + self.config.timeout_cooldown)
             self._m_cooldowns.inc()
             neighbor.record_response(self.config.data_timeout,
                                      self.config.ewma_alpha)
@@ -654,8 +462,8 @@ class DataScheduler:
         neighbor = self.neighbors.get(pending.neighbor)
         if neighbor is not None:
             neighbor.data_timeouts += 1
-            neighbor.set_cooldown(self.sim.now
-                                  + self.config.timeout_cooldown)
+            neighbor.cooldown_until = (self.sim.now
+                                       + self.config.timeout_cooldown)
             self._m_cooldowns.inc()
             # Penalise the EWMA with the full timeout so unresponsive
             # neighbors stop attracting requests.
@@ -666,9 +474,6 @@ class DataScheduler:
                 cancel_timeout: bool = True) -> None:
         if cancel_timeout and pending.timeout_event is not None:
             self.sim.cancel(pending.timeout_event)
-        # The chunk's plannable set may have grown (covered bits are
-        # about to clear): it can no longer be skipped as saturated.
-        self._saturated.discard(pending.chunk)
         covered = self._requested.get(pending.chunk)
         if covered is not None:
             span = ((1 << (pending.last - pending.first + 1)) - 1) \
@@ -699,13 +504,10 @@ class DataScheduler:
             if pending.span is not None:
                 pending.span.finish(self.sim.now, "reset")
         self._requested.clear()
-        self._saturated.clear()
         self.buffer = buffer
 
     def forget_neighbor(self, address: str) -> None:
         """Drop in-flight state for a departed neighbor."""
-        self._avail_cache.pop(address, None)
-        self._view_cache = None
         stale = [seq for seq, p in self._pending.items()
                  if p.neighbor == address and not p.to_source]
         for seq in stale:
@@ -719,7 +521,3 @@ class DataScheduler:
         stale = [c for c in self._requested if c <= frontier]
         for chunk in stale:
             del self._requested[chunk]
-        saturated = self._saturated
-        if saturated:
-            for chunk in [c for c in saturated if c <= frontier]:
-                saturated.discard(chunk)

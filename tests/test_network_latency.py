@@ -5,7 +5,6 @@ import pytest
 from repro.network.isp import ISP, ISPCategory, default_isp_catalog
 from repro.network.latency import (LatencyConfig, LatencyModel, PairClass,
                                    RttBand, classify_pair)
-from repro.network import latency as latency_module
 
 
 @pytest.fixture
@@ -156,10 +155,8 @@ class TestBatchEquivalence:
 
     ``one_way_delays`` / ``are_lost`` promise the exact floats and
     verdicts of the equivalent per-packet call sequence: one draw per
-    item in item order on each RNG stream, with numpy (when present)
-    used only for exactly-rounded elementwise arithmetic.  Each case
-    runs both a cohort below the numpy crossover (scalar fallback) and
-    one far above it.
+    item in item order on each RNG stream.  Each case runs both a small
+    cohort and one far above the largest neighbor fan-out.
     """
 
     COUNTS = (3, 200)
@@ -189,18 +186,3 @@ class TestBatchEquivalence:
             reference = LatencyModel(LatencyConfig(), master_seed=5)
             assert (list(batched.are_lost(pairs))
                     == [reference.is_lost(a, b) for a, b in pairs])
-
-    @pytest.mark.skipif(latency_module._np is None,
-                        reason="numpy unavailable")
-    def test_batches_identical_with_and_without_numpy(self, catalog,
-                                                      monkeypatch):
-        items = self._items(catalog, 200)
-        pairs = [(item[1], item[3]) for item in items]
-        with_numpy = LatencyModel(LatencyConfig(), master_seed=5)
-        numpy_delays = with_numpy.one_way_delays(items)
-        numpy_lost = list(with_numpy.are_lost(pairs))
-        with monkeypatch.context() as patch:
-            patch.setattr(latency_module, "_np", None)
-            scalar = LatencyModel(LatencyConfig(), master_seed=5)
-            assert scalar.one_way_delays(items) == numpy_delays
-            assert list(scalar.are_lost(pairs)) == numpy_lost
