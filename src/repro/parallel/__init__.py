@@ -4,17 +4,21 @@
 multi-seed replicas, ablation grid points) out to worker processes and
 merges their results by job key, so every ``jobs`` value yields
 byte-identical output; ``run_seed_sweep`` applies it to multi-seed
-scenario sweeps.  See ``docs/PARALLEL.md`` for the execution model and
-the determinism contract.
+scenario sweeps; ``run_units`` adds checkpointing and resume on top of
+it for the campaign and the resilience sweep.  See
+``docs/PARALLEL.md`` for the execution model and the determinism
+contract.
 """
 
 from .jobs import (WHERE_FALLBACK, WHERE_POOL, WHERE_SERIAL, Job,
                    JobFailure, JobOutcome, execute_jobs, merge_by_key,
                    run_jobs)
 from .sweeps import run_seed_sweep
+from .units import kill_switch_hook, open_units, run_units
 
 __all__ = [
     "Job", "JobOutcome", "JobFailure",
     "run_jobs", "execute_jobs", "merge_by_key", "run_seed_sweep",
+    "open_units", "run_units", "kill_switch_hook",
     "WHERE_SERIAL", "WHERE_POOL", "WHERE_FALLBACK",
 ]

@@ -46,14 +46,12 @@ def run_seed_sweep(config: "ScenarioConfig", seeds: Sequence[int], *,
     """Run ``config`` once per seed; metrics in ``seeds`` order."""
     if not seeds:
         raise ValueError("need at least one seed")
-    if jobs <= 1:
-        return [_seed_session_job(config, seed, probe_name)
-                for seed in seeds]
-    # Workers must not inherit the caller's instrumentation bundle
-    # (open sinks do not pickle; metrics belong to the parent).
-    worker_config = dataclasses.replace(config, instrumentation=None)
+    if jobs > 1:
+        # Workers must not inherit the caller's instrumentation bundle
+        # (open sinks do not pickle; metrics belong to the parent).
+        config = dataclasses.replace(config, instrumentation=None)
     job_list = [Job(key=(index, seed), fn=_seed_session_job,
-                    args=(worker_config, seed, probe_name))
+                    args=(config, seed, probe_name))
                 for index, seed in enumerate(seeds)]
     merged = run_jobs(job_list, workers=jobs, timeout=timeout,
                       retries=retries, obs=obs)

@@ -20,21 +20,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import signal
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.locality import traffic_locality
-from ..checkpoint import (CampaignCheckpointStore, CheckpointError,
-                          CheckpointPolicy, config_digest_of)
+from ..checkpoint import CheckpointError, CheckpointPolicy, config_digest_of
 from ..faults import FaultSchedule
 from ..network.isp import ISPCategory
 from ..obs import INFO, FlowSpec, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..obs.live import KIND_CAMPAIGN_START, KIND_DAY_COMPLETE
-from ..parallel.jobs import Job, run_jobs
+from ..parallel.jobs import Job
+from ..parallel.units import kill_switch_hook, open_units, run_units
 from ..sim.random import RandomRouter
 from ..streaming.chunks import ChunkGeometry
 from ..streaming.video import Popularity
@@ -94,9 +92,9 @@ class DailyLocality:
     population: int
     #: ISP label -> average traffic locality across that ISP's probes.
     locality_by_isp: Dict[str, float]
-    #: Simulator events executed by this day's session; carried in
-    #: checkpoint artifacts so a resumed run's ``run_summary`` footer
-    #: matches the uninterrupted run.
+    #: Simulator events executed by this day's session; folded into the
+    #: ``run_summary`` footer for days replayed from a checkpoint or
+    #: simulated in a worker process.
     events_executed: int = 0
     #: The day's flow-ledger snapshot (``FlowLedger.snapshot_state``)
     #: when the campaign ran with a flow spec; carried through
@@ -201,42 +199,15 @@ def _daily_from_payload(key: Tuple[str, int],
         flows=payload.get("flows"))
 
 
-#: ``popularity:day:events`` — when set, the matching campaign unit
-#: SIGKILLs its own process once the simulator has executed that many
-#: events.  Test-only seam for the kill/resume chaos suite: the check
-#: runs at simulated-time boundaries, so the kill point is deterministic
-#: in event count (the killed, un-checkpointed day is simply re-run from
-#: scratch on resume).
-KILL_SWITCH_ENV = "REPRO_CAMPAIGN_SIGKILL"
+def _run_day(config: CampaignConfig, key: Tuple[str, int]) -> DailyLocality:
+    """Job entry point: one (program, day) simulation.
 
-
-def _kill_switch_hook(day: int,
-                      popularity: Popularity) -> Optional[Callable]:
-    spec = os.environ.get(KILL_SWITCH_ENV)
-    if not spec:
-        return None
-    try:
-        pop_value, day_text, events_text = spec.split(":")
-        target_day = int(day_text)
-        threshold = int(events_text)
-    except ValueError:
-        raise ValueError(
-            f"{KILL_SWITCH_ENV} must be 'popularity:day:events', "
-            f"got {spec!r}")
-    if pop_value != popularity.value or target_day != day:
-        return None
-
-    def hook(sim, deployment, manager, probe_peers) -> None:
-        def check() -> None:
-            if sim.events_executed >= threshold:
-                os.kill(os.getpid(), signal.SIGKILL)
-        sim.every(1.0, check, label="kill-switch")
-
-    return hook
-
-
-def _run_day(config: CampaignConfig, day: int, popularity: Popularity,
-             router: RandomRouter) -> DailyLocality:
+    The day's RNG streams derive from ``(config.seed, day, popularity)``
+    alone — the router fork consumes no shared state — so the unit draws
+    the same numbers in any process and in any order.
+    """
+    popularity, day = Popularity(key[0]), key[1]
+    router = RandomRouter(config.seed)
     rng = router.fork(f"day:{day}:{popularity.value}").stream("campaign")
     if popularity is Popularity.POPULAR:
         mix = popular_channel_mix()
@@ -254,7 +225,7 @@ def _run_day(config: CampaignConfig, day: int, popularity: Popularity,
     noise = math.exp(rng.gauss(0.0, config.audience_noise_sigma))
     population = max(10, int(round(base_population * factor * noise)))
 
-    kill_hook = _kill_switch_hook(day, popularity)
+    kill_hook = kill_switch_hook(key)
     extra_hook = config.session_hook
     if kill_hook is not None and extra_hook is not None:
         def run_hook(sim, deployment, manager, probe_peers,
@@ -306,13 +277,14 @@ def _run_day(config: CampaignConfig, day: int, popularity: Popularity,
 def _emit_day(config: CampaignConfig, obs: Instrumentation,
               popularity: Popularity, daily: DailyLocality,
               restored: bool = False) -> None:
-    """Campaign-level progress/trace for one finished day.
+    """Campaign-level progress/trace/flows records for one finished day.
 
-    Shared by the serial and parallel paths so both produce the same
-    campaign-level event stream, in the same deterministic order.
-    ``restored`` marks a day replayed from a checkpoint rather than
-    simulated in this process; the flag is added to the records only
-    when set, so non-resumed streams stay byte-identical.
+    Called once per unit in canonical key order, for every ``jobs``
+    value and across resume, so the campaign-level event stream and the
+    flows artifact are deterministic.  ``restored`` marks a day
+    replayed from a checkpoint rather than simulated in this process;
+    the flag is added to the records only when set, so non-resumed
+    streams stay byte-identical.
     """
     if not obs.enabled:
         return
@@ -333,6 +305,11 @@ def _emit_day(config: CampaignConfig, obs: Instrumentation,
                                   for label, value
                                   in sorted(daily.locality_by_isp.items())},
                  **restored_fields)
+    writer = getattr(obs, "flows", None)
+    if writer is not None and config.flows is not None \
+            and daily.flows is not None:
+        writer.write_unit({"day": daily.day, "popularity": popularity.value},
+                          daily.flows)
     if obs.spans.enabled:
         obs.spans.instant("campaign_day", "workload", float(daily.day),
                           actor="campaign", day=daily.day + 1,
@@ -347,33 +324,6 @@ def _emit_day(config: CampaignConfig, obs: Instrumentation,
               f"({popularity.value}) pop={daily.population} "
               f"{summary}",
               file=stream if stream is not None else sys.stderr)
-
-
-def _campaign_day_job(config: CampaignConfig, day: int,
-                      popularity_value: str) -> DailyLocality:
-    """Worker entry point: one (day, program) simulation.
-
-    The day's RNG streams derive from ``(config.seed, day, popularity)``
-    alone — the router fork in :func:`_run_day` consumes no shared
-    state — so rebuilding the router here yields the exact draw sequence
-    the serial loop would have used.
-    """
-    return _run_day(config, day, Popularity(popularity_value),
-                    RandomRouter(config.seed))
-
-
-def campaign_jobs(config: CampaignConfig) -> List[Job]:
-    """The campaign's independent job list: one job per (program, day).
-
-    The configs shipped to workers carry no instrumentation bundle —
-    sinks do not pickle and worker-side metrics would race; the parent
-    re-emits the campaign-level events after the deterministic merge.
-    """
-    worker_config = dataclasses.replace(config, instrumentation=None)
-    return [Job(key=(popularity.value, day), fn=_campaign_day_job,
-                args=(worker_config, day, popularity.value))
-            for popularity in (Popularity.POPULAR, Popularity.UNPOPULAR)
-            for day in range(config.days)]
 
 
 def assemble_campaign(config: CampaignConfig,
@@ -395,61 +345,50 @@ def assemble_campaign(config: CampaignConfig,
 def campaign_unit_keys(config: CampaignConfig) -> List[Tuple[str, int]]:
     """Canonical unit order: popular days 0..N-1, then unpopular.
 
-    This is the order the serial loop simulates, the parallel job list
-    ships, and the resumed run replays — one ordering everywhere keeps
-    every campaign-level event stream deterministic."""
+    This is the order the job list ships and every unit is reported in,
+    fresh or replayed — one ordering everywhere keeps every
+    campaign-level event stream deterministic."""
     return [(popularity.value, day)
             for popularity in (Popularity.POPULAR, Popularity.UNPOPULAR)
             for day in range(config.days)]
 
 
-def _validate_restored(config: CampaignConfig,
-                       restored: Dict[Tuple[str, int], DailyLocality],
-                       store: CampaignCheckpointStore) -> None:
-    expected = set(campaign_unit_keys(config))
-    unknown = sorted(set(restored) - expected)
-    if unknown:
-        raise CheckpointError(
-            f"checkpoint at {store.root} contains units outside the "
-            f"campaign shape: {unknown[:3]}")
-    if config.flows is not None:
-        # A resumed flows-enabled run replays flow snapshots instead of
-        # re-simulating; a checkpoint written without them (or with a
-        # different ledger shape) cannot produce the byte-identical
-        # artifact the contract promises, so fail loudly.
-        for key in sorted(restored):
-            snapshot = restored[key].flows
-            if snapshot is None:
-                raise CheckpointError(
-                    f"checkpoint at {store.root} was written without "
-                    f"flow accounting (unit {key} has no flow snapshot) "
-                    f"but this run enables it; re-run without --flows "
-                    f"or restart the campaign")
-            if (snapshot.get("window") != config.flows.window
-                    or snapshot.get("top_k") != config.flows.top_k):
-                raise CheckpointError(
-                    f"checkpoint unit {key} recorded flows with window="
-                    f"{snapshot.get('window')} top_k="
-                    f"{snapshot.get('top_k')}, but this run uses window="
-                    f"{config.flows.window} top_k={config.flows.top_k}")
+def campaign_jobs(config: CampaignConfig) -> List[Job]:
+    """The campaign's independent job list: one job per (program, day),
+    in :func:`campaign_unit_keys` order.
 
-
-def _emit_flows(config: CampaignConfig, obs: Instrumentation,
-                merged: Dict[Tuple[str, int], DailyLocality]) -> None:
-    """Write per-unit flow records to the artifact, in canonical order.
-
-    Parent-side only, after the deterministic merge — exactly like the
-    campaign-level progress records — so the flows artifact is
-    byte-identical for every ``jobs`` value and across resume.
+    Each job ships ``config`` as given; a caller fanning out to worker
+    processes strips its instrumentation bundle first (sinks do not
+    pickle and worker-side metrics would race).
     """
-    writer = getattr(obs, "flows", None)
-    if writer is None or config.flows is None:
+    return [Job(key=key, fn=_run_day, args=(config, key))
+            for key in campaign_unit_keys(config)]
+
+
+def _check_flow_snapshots(config: CampaignConfig,
+                          restored: Dict[Tuple[str, int], DailyLocality],
+                          root: str) -> None:
+    """A resumed flows-enabled run replays flow snapshots instead of
+    re-simulating; a checkpoint written without them (or with a
+    different ledger shape) cannot produce the byte-identical artifact
+    the contract promises, so fail loudly."""
+    if config.flows is None:
         return
-    for key in campaign_unit_keys(config):
-        daily = merged.get(key)
-        if daily is not None and daily.flows is not None:
-            writer.write_unit({"day": key[1], "popularity": key[0]},
-                              daily.flows)
+    for key in sorted(restored):
+        snapshot = restored[key].flows
+        if snapshot is None:
+            raise CheckpointError(
+                f"checkpoint at {root} was written without "
+                f"flow accounting (unit {key} has no flow snapshot) "
+                f"but this run enables it; re-run without --flows "
+                f"or restart the campaign")
+        if (snapshot.get("window") != config.flows.window
+                or snapshot.get("top_k") != config.flows.top_k):
+            raise CheckpointError(
+                f"checkpoint unit {key} recorded flows with window="
+                f"{snapshot.get('window')} top_k="
+                f"{snapshot.get('top_k')}, but this run uses window="
+                f"{config.flows.window} top_k={config.flows.top_k}")
 
 
 def run_campaign(config: Optional[CampaignConfig] = None, *,
@@ -480,20 +419,16 @@ def run_campaign(config: Optional[CampaignConfig] = None, *,
         # processes (shipped instrumentation=None) see it too.
         config = dataclasses.replace(config, flows=obs.flows_spec)
 
-    store: Optional[CampaignCheckpointStore] = None
-    digest = ""
-    restored: Dict[Tuple[str, int], DailyLocality] = {}
-    if checkpoint is not None:
-        store = CampaignCheckpointStore(checkpoint.path)
-        digest = campaign_config_digest(config)
-        if checkpoint.resume:
-            store.load_manifest(digest)
-            for key, payload in store.iter_units(digest):
-                restored[key] = _daily_from_payload(key, payload)
-            _validate_restored(config, restored, store)
-        else:
-            store.initialize(digest, seed=config.seed, days=config.days,
-                             total_units=2 * config.days)
+    digest = campaign_config_digest(config)
+    jobs_list = campaign_jobs(
+        config if jobs <= 1
+        else dataclasses.replace(config, instrumentation=None))
+    store, restored = open_units(
+        checkpoint, digest, [job.key for job in jobs_list],
+        _daily_from_payload, seed=config.seed, days=config.days,
+        total_units=2 * config.days)
+    if store is not None:
+        _check_flow_snapshots(config, restored, str(store.root))
 
     bus = obs.progress_bus
     if bus is not None:
@@ -508,68 +443,20 @@ def run_campaign(config: Optional[CampaignConfig] = None, *,
                  total_units=2 * config.days, seed=config.seed,
                  jobs=jobs, **resume_fields)
 
-    if jobs > 1:
-        all_jobs = campaign_jobs(config)
-        if store is None:
-            merged = run_jobs(all_jobs, workers=jobs, timeout=timeout,
-                              retries=retries,
-                              obs=config.instrumentation)
-        else:
-            merged = dict(restored)
-            pending = [job for job in all_jobs
-                       if job.key not in restored]
-            # Batches below ``jobs`` would serialise the pool, so the
-            # flush interval is at least one full batch of workers.
-            batch = max(checkpoint.every, jobs)
-            for index in range(0, len(pending), batch):
-                chunk = pending[index:index + batch]
-                done = run_jobs(chunk, workers=jobs, timeout=timeout,
-                                retries=retries,
-                                obs=config.instrumentation)
-                for key in sorted(done):
-                    store.write_unit(key, digest,
-                                     _unit_payload(done[key]))
-                merged.update(done)
-        result = assemble_campaign(config, merged)
-        for popularity, days in ((Popularity.POPULAR, result.popular),
-                                 (Popularity.UNPOPULAR, result.unpopular)):
-            for daily in days:
-                _emit_day(config, obs, popularity, daily,
-                          restored=(popularity.value, daily.day)
-                          in restored)
-        _emit_flows(config, obs, merged)
-        return result
+    def on_unit(key: Tuple[str, int], daily: DailyLocality,
+                replayed: bool) -> None:
+        if obs.enabled and (replayed or jobs > 1):
+            # Days replayed from a checkpoint or simulated in a worker
+            # never ticked this process's counter; fold their recorded
+            # event counts in so the run_summary footer is the total.
+            obs.metrics.counter("sim.events_executed").inc(
+                daily.events_executed)
+        _emit_day(config, obs, Popularity(key[0]), daily, replayed)
 
-    router = RandomRouter(config.seed)
-    merged = {}
-    unflushed: List[Tuple[str, int]] = []
-
-    def flush() -> None:
-        for key in unflushed:
-            store.write_unit(key, digest, _unit_payload(merged[key]))
-        unflushed.clear()
-
-    for key in campaign_unit_keys(config):
-        popularity = Popularity(key[0])
-        daily = restored.get(key)
-        if daily is not None:
-            merged[key] = daily
-            if obs.enabled:
-                # Fold the restored day's recorded event count into the
-                # live counter so the run_summary footer of a resumed
-                # run matches the uninterrupted run exactly.
-                obs.metrics.counter("sim.events_executed").inc(
-                    daily.events_executed)
-            _emit_day(config, obs, popularity, daily, restored=True)
-            continue
-        daily = _run_day(config, key[1], popularity, router)
-        merged[key] = daily
-        if store is not None:
-            unflushed.append(key)
-            if len(unflushed) >= checkpoint.every:
-                flush()
-        _emit_day(config, obs, popularity, daily)
-    if store is not None:
-        flush()
-    _emit_flows(config, obs, merged)
+    merged = run_units(
+        jobs_list, restored, workers=jobs, store=store,
+        every=checkpoint.every if checkpoint is not None else 1,
+        digest=digest, encode=_unit_payload, on_unit=on_unit,
+        timeout=timeout, retries=retries,
+        obs=config.instrumentation if jobs > 1 else None)
     return assemble_campaign(config, merged)

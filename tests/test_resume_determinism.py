@@ -23,13 +23,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.checkpoint import CheckpointPolicy
+from repro.checkpoint import (KIND_UNIT, CampaignCheckpointStore,
+                              CheckpointError, CheckpointPolicy,
+                              read_artifact)
 from repro.faults import FaultSchedule, ServerOutage
 from repro.obs import Instrumentation, ProgressBus
 from repro.obs.live import (KIND_CAMPAIGN_START, KIND_DAY_COMPLETE,
                             KIND_RUN_SUMMARY, deterministic_records,
                             read_progress, summarize_progress)
-from repro.workload.campaign import run_campaign
+from repro.parallel.units import KILL_SWITCH_ENV
+from repro.workload.campaign import campaign_config_digest, run_campaign
 
 from .test_campaign_goldens import (GOLDEN_CONFIG, GOLDEN_SERIES_DIGEST,
                                     GOLDEN_TABLE_DIGEST, _series_digest)
@@ -124,6 +127,20 @@ class TestResumeByteIdentity:
         assert units == ["popular-0000.json", "popular-0001.json",
                          "popular-0002.json", "unpopular-0000.json",
                          "unpopular-0001.json", "unpopular-0002.json"]
+
+    def test_resume_rejects_units_outside_the_campaign(
+            self, checkpointed, tmp_path):
+        source, _ = checkpointed
+        root = _partial_copy(source, tmp_path / "campaign", [])
+        config = GOLDEN_CONFIG()
+        digest = campaign_config_digest(config)
+        CampaignCheckpointStore(root).write_unit(
+            ("popular", config.days), digest,
+            {"population": 10, "locality_by_isp": {"TELE": 50.0},
+             "events_executed": 1})
+        with pytest.raises(CheckpointError, match="outside the run"):
+            run_campaign(config, checkpoint=CheckpointPolicy(
+                path=str(root), resume=True))
 
 
 class TestResumeUnderFaults:
@@ -252,30 +269,37 @@ class TestStatusAfterResume:
 
 
 # ----------------------------------------------------------------------
-# Kill -9 mid-campaign, then resume (full CLI path)
+# Kill -9 mid-run, then resume (full CLI path)
 # ----------------------------------------------------------------------
 #: Child entry point: the real CLI with the SMALL scale shrunk to a
-#: seconds-long campaign, so the kill/resume cycle stays CI-sized.
+#: seconds-long campaign, and the resilience sweep to one baseline and
+#: one adversarial cell, so the kill/resume cycle stays CI-sized.
 _CHILD = """\
 import sys
 import repro.experiments.fig06 as fig06
-from repro.experiments.base import Scale
+import repro.experiments.resilience as resilience
+from repro.experiments.base import SCALE_PARAMS, Scale, ScaleParams
 fig06._CAMPAIGN_SCALES[Scale.SMALL] = dict(
     days=2, popular_population=10, unpopular_population=6,
     session_duration=60.0, warmup=30.0)
+SCALE_PARAMS[Scale.SMALL] = ScaleParams(
+    popular_population=12, unpopular_population=6,
+    duration=180.0, warmup=90.0)
+resilience.DEFAULT_FRACTIONS = (0.4,)
+resilience.ADVERSARY_BEHAVIORS = ("chunk_polluter",)
 from repro.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def _cli(args, tmp_path, kill_at=None, timeout=240):
+def _cli(experiment, args, tmp_path, kill_at=None, timeout=240):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    env.pop("REPRO_CAMPAIGN_SIGKILL", None)
+    env.pop(KILL_SWITCH_ENV, None)
     if kill_at is not None:
-        env["REPRO_CAMPAIGN_SIGKILL"] = kill_at
+        env[KILL_SWITCH_ENV] = kill_at
     return subprocess.run(
-        [sys.executable, "-c", _CHILD, "run", "fig06",
+        [sys.executable, "-c", _CHILD, "run", experiment,
          "--scale", "small"] + args,
         cwd=str(tmp_path), env=env, capture_output=True, text=True,
         timeout=timeout)
@@ -285,35 +309,55 @@ def _figure_lines(stdout: str):
     """The deterministic part of the CLI output: the rendered figure,
     without the wall-clock timing footer."""
     return [line for line in stdout.splitlines()
-            if not line.startswith("[fig06 regenerated")]
+            if " regenerated in " not in line]
 
 
-class TestKillResumeChaos:
-    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
+def _footer(path):
+    return next(r for r in reversed(read_progress(str(path)))
+                if r["kind"] == KIND_RUN_SUMMARY)
+
+
+#: Per experiment: the unit to kill (``REPRO_SIGKILL``), extra checkpoint
+#: flags, and the unit files flushed before the kill.
+_KILL_CASES = {
+    # Early in the campaign's third unit, with units flushed in
+    # batches of two: units 1-2 are on disk, the in-flight day dies
+    # un-checkpointed.
+    "fig06": ("unpopular:0:2000", ["--checkpoint-every", "2"],
+              ["popular-0000.json", "popular-0001.json"]),
+    # Early in the adversarial cell: the baseline is flushed, the
+    # in-flight cell dies un-checkpointed.
+    "resilience": ("cell:1:2000", [], ["cell-0000.json"]),
+}
+
+
+class TestKillResume:
+    @pytest.mark.parametrize("experiment", sorted(_KILL_CASES))
+    def test_sigkill_then_resume(self, tmp_path, experiment):
+        kill_at, checkpoint_args, expected_units = _KILL_CASES[experiment]
         ckpt = tmp_path / "ckpt"
 
-        full = _cli(["--progress-jsonl", str(tmp_path / "full.jsonl")],
-                    tmp_path)
+        def progress(name):
+            return ["--progress-jsonl", str(tmp_path / f"{name}.jsonl")]
+
+        full = _cli(experiment, progress("full"), tmp_path)
         assert full.returncode == 0, full.stderr
 
-        # Kill the campaign with SIGKILL early in its third unit, with
-        # units flushed in batches of two: units 1-2 are on disk, the
-        # in-flight day dies un-checkpointed.
-        killed = _cli(["--checkpoint", str(ckpt),
-                       "--checkpoint-every", "2",
-                       "--progress-jsonl",
-                       str(tmp_path / "killed.jsonl")],
-                      tmp_path, kill_at="unpopular:0:2000")
+        killed = _cli(experiment, ["--checkpoint", str(ckpt)]
+                      + checkpoint_args + progress("killed"),
+                      tmp_path, kill_at=kill_at)
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         flushed = sorted(p.name for p in (ckpt / "units").glob("*.json"))
-        assert flushed == ["popular-0000.json", "popular-0001.json"]
+        assert flushed == expected_units
 
-        resumed = _cli(["--resume", str(ckpt), "--progress-jsonl",
-                        str(tmp_path / "resumed.jsonl")], tmp_path)
+        resumed = _cli(experiment, ["--resume", str(ckpt)]
+                       + progress("resumed"), tmp_path)
         assert resumed.returncode == 0, resumed.stderr
 
-        # Scorecard: the resumed run prints the exact same Figure 6.
+        # Scorecard: the resumed run prints the exact same output.
         assert _figure_lines(resumed.stdout) == _figure_lines(full.stdout)
+        if experiment != "fig06":
+            return
 
         # Telemetry: the resumed stream's deterministic projection —
         # including the run_summary footer's event total — matches the
@@ -322,10 +366,8 @@ class TestKillResumeChaos:
         resumed_records = read_progress(str(tmp_path / "resumed.jsonl"))
         assert deterministic_records(resumed_records) \
             == deterministic_records(full_records)
-        full_footer = next(r for r in reversed(full_records)
-                           if r["kind"] == KIND_RUN_SUMMARY)
-        resumed_footer = next(r for r in reversed(resumed_records)
-                              if r["kind"] == KIND_RUN_SUMMARY)
+        full_footer = _footer(tmp_path / "full.jsonl")
+        resumed_footer = _footer(tmp_path / "resumed.jsonl")
         assert resumed_footer["events_executed"] \
             == full_footer["events_executed"] > 0
         assert resumed_footer["status"] == "ok"
@@ -336,3 +378,21 @@ class TestKillResumeChaos:
             read_progress(str(tmp_path / "killed.jsonl")))
         assert killed_summary["state"] == "running"
         assert killed_summary["campaign"]["units_done"] == 2
+
+
+class TestFooterEventTotal:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_footer_counts_every_unit(self, tmp_path, jobs):
+        # Serial days tick the live counter; days run in a worker fold
+        # their recorded counts in.  Either way the footer is the sum
+        # over the persisted units.  The two footers are not compared:
+        # heartbeat ticks are simulator events of serial runs only.
+        ckpt = tmp_path / "ckpt"
+        run = _cli("fig06", ["--jobs", jobs, "--checkpoint", str(ckpt),
+                             "--progress-jsonl",
+                             str(tmp_path / "p.jsonl")], tmp_path)
+        assert run.returncode == 0, run.stderr
+        total = sum(read_artifact(path, KIND_UNIT)["events_executed"]
+                    for path in (ckpt / "units").glob("*.json"))
+        assert _footer(tmp_path / "p.jsonl")["events_executed"] \
+            == total > 0
