@@ -48,8 +48,7 @@ class _Harness:
         self.issued = []
         self.scheduler = DataScheduler(
             self.sim, config, geometry, self.buffer, self.neighbors,
-            send_request=lambda addr, chunk, first, last, seq:
-                self.issued.append((addr, chunk, first, last, seq)))
+            send_requests=self.issued.extend)
         self.states = []
         for index in range(NEIGHBORS):
             state = self.neighbors.add(f"10.0.0.{index + 1}",

@@ -104,31 +104,6 @@ class FaultInjector:
         return len(self.schedule.events)
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the injector's mutable state: the
-        begin/end counters, the armed flag and which windowed faults are
-        currently active.  The begin/end *callbacks* themselves are
-        pending engine events (bound methods of this injector) and are
-        captured by ``Simulator.snapshot_state``."""
-        return {"faults_begun": self.faults_begun,
-                "faults_ended": self.faults_ended,
-                "armed": self._armed,
-                "active": list(self.active),
-                "adversaries_attached": self.adversaries_attached}
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the injector's mutable state in place from
-        :meth:`snapshot_state`."""
-        self.faults_begun = state["faults_begun"]
-        self.faults_ended = state["faults_ended"]
-        self._armed = state["armed"]
-        self.active = list(state["active"])
-        self.adversaries_attached = state.get("adversaries_attached", 0)
-        self._g_active.set(len(self.active))
-
-    # ------------------------------------------------------------------
     # Observability helpers
     # ------------------------------------------------------------------
     def _begin(self, name: str, event, **details) -> None:
@@ -196,8 +171,6 @@ class FaultInjector:
 
     def _arm_outage(self, name: str, event: ServerOutage,
                     rng: random.Random) -> None:
-        # partial-of-bound-method, not a closure: the scheduled events
-        # must stay snapshot-serializable (closures cannot pickle).
         self.sim.call_at(event.start,
                          partial(self._outage_begin, name, event, rng),
                          label="fault-begin")

@@ -26,7 +26,7 @@ import heapq
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..adversary import AdversaryModel, build_adversary
+from ..adversary import AdversaryModel
 from ..network.bandwidth import AccessProfile
 from ..network.datagram import Datagram
 from ..network.isp import ISP
@@ -256,109 +256,6 @@ class PPLivePeer(Host):
         self.go_offline()
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the peer's protocol state.
-
-        Captures everything that decides the peer's *future protocol
-        behaviour* — lifecycle phase, tracker bookkeeping, candidate
-        pool, neighbor table, both private RNG streams — plus its
-        accounting counters.  In-flight timers/handshakes are engine
-        state and are captured by ``Simulator.snapshot_state`` (the
-        events hold bound methods of this peer).  The
-        snapshot→restore→snapshot round-trip is a fixed point
-        (``tests/test_snapshot_properties.py``).
-        """
-        return {
-            "phase": self.phase.value,
-            "trackers": list(self.trackers),
-            "tracker_rotation": self._tracker_rotation,
-            "tracker_pending": dict(self._tracker_pending),
-            "tracker_failures": dict(self._tracker_failures),
-            "last_rebootstrap": self._last_rebootstrap,
-            "rebootstrap_pending": self._rebootstrap_pending,
-            "peerlist_request_id": self._peerlist_request_id,
-            "rng": self._rng.getstate(),
-            "scheduler_rng": self._scheduler_rng.getstate(),
-            "pool": self.pool.snapshot_state(),
-            "neighbors": self.neighbors.snapshot_state(),
-            "flood_seq": self._flood_seq,
-            "rate_limiter": (self._rate_limiter.snapshot_state()
-                             if self._rate_limiter is not None else None),
-            "adversary": (self.adversary.snapshot_state()
-                          if self.adversary is not None else None),
-            "counters": {
-                "peer_lists_sent": self.peer_lists_sent,
-                "peer_list_requests_received":
-                    self.peer_list_requests_received,
-                "data_requests_served": self.data_requests_served,
-                "data_misses_sent": self.data_misses_sent,
-                "bytes_uploaded": self.bytes_uploaded,
-                "hello_rejects": self.hello_rejects,
-                "resyncs": self.resyncs,
-                "rebootstraps": self.rebootstraps,
-                "rejected_messages": self.rejected_messages,
-                "requests_rate_limited": self.requests_rate_limited,
-                "neighbors_banned": self.neighbors_banned,
-                "poisoned_replies": self.poisoned_replies,
-                "chunks_refetched": self.chunks_refetched,
-                "joined_at": self.joined_at,
-                "departed_at": self.departed_at,
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the peer's protocol state in place from
-        :meth:`snapshot_state`."""
-        self.phase = PeerPhase(state["phase"])
-        self.trackers = list(state["trackers"])
-        self._tracker_rotation = state["tracker_rotation"]
-        self._tracker_pending = dict(state["tracker_pending"])
-        self._tracker_failures = dict(state["tracker_failures"])
-        self._last_rebootstrap = state["last_rebootstrap"]
-        self._rebootstrap_pending = state["rebootstrap_pending"]
-        self._peerlist_request_id = state["peerlist_request_id"]
-        self._rng.setstate(state["rng"])
-        self._scheduler_rng.setstate(state["scheduler_rng"])
-        self.pool.restore_state(state["pool"])
-        self.neighbors.restore_state(state["neighbors"])
-        self._flood_seq = state.get("flood_seq", _FLOOD_SEQ_BASE)
-        limiter_state = state.get("rate_limiter")
-        if limiter_state is None:
-            self._rate_limiter = None
-        else:
-            self._rate_limiter = RequestRateLimiter(
-                self.config.request_rate_cap,
-                self.config.request_rate_burst)
-            self._rate_limiter.restore_state(limiter_state)
-        adversary_state = state.get("adversary")
-        if adversary_state is None:
-            self.adversary = None
-        else:
-            self.adversary = build_adversary(adversary_state["behavior"],
-                                             adversary_state["seed"])
-            self.adversary.restore_state(adversary_state)
-        counters = state["counters"]
-        self.peer_lists_sent = counters["peer_lists_sent"]
-        self.peer_list_requests_received = \
-            counters["peer_list_requests_received"]
-        self.data_requests_served = counters["data_requests_served"]
-        self.data_misses_sent = counters["data_misses_sent"]
-        self.bytes_uploaded = counters["bytes_uploaded"]
-        self.hello_rejects = counters["hello_rejects"]
-        self.resyncs = counters["resyncs"]
-        self.rebootstraps = counters["rebootstraps"]
-        self.rejected_messages = counters.get("rejected_messages", 0)
-        self.requests_rate_limited = counters.get("requests_rate_limited",
-                                                  0)
-        self.neighbors_banned = counters.get("neighbors_banned", 0)
-        self.poisoned_replies = counters.get("poisoned_replies", 0)
-        self.chunks_refetched = counters.get("chunks_refetched", 0)
-        self.joined_at = counters["joined_at"]
-        self.departed_at = counters["departed_at"]
-
-    # ------------------------------------------------------------------
     # Introspection used by policies and experiments
     # ------------------------------------------------------------------
     @property
@@ -497,10 +394,9 @@ class PPLivePeer(Host):
                                       span_parent=self._join_span)
         self.scheduler = DataScheduler(
             self.sim, self.config, geometry, self.buffer, self.neighbors,
-            self._send_data_request, source_address=self.source_address,
+            self._send_data_requests, source_address=self.source_address,
             rng=self._scheduler_rng, obs=self._obs, obs_tags=self._obs_tags,
-            actor=self.address, span_parent=self._join_span,
-            send_requests=self._send_data_requests)
+            actor=self.address, span_parent=self._join_span)
         # Initial burst: query every tracker group at once.
         for tracker in self.trackers:
             self._query_tracker(tracker)
@@ -899,14 +795,9 @@ class PPLivePeer(Host):
                                          msg.have_from)
 
     # -- data plane -----------------------------------------------------------
-    def _send_data_request(self, address: str, chunk: int, first: int,
-                           last: int, seq: int) -> None:
-        request = m.DataRequest(channel_id=self.channel.channel_id,
-                                chunk=chunk, first=first, last=last, seq=seq)
-        self._transmit(address, request)
-
     def _send_data_requests(self, issues: List[tuple]) -> None:
-        """Transmit one scheduler tick's worth of requests as a cohort."""
+        """Transmit a batch of data requests (one scheduler tick, or one
+        flood burst) as a cohort."""
         channel_id = self.channel.channel_id
         size = -1
         sends: List[Tuple[str, m.Message, int]] = []
@@ -1061,10 +952,11 @@ class PPLivePeer(Host):
             chunk = neighbor.reported_have
         else:
             chunk = max(0, self.have_until)
+        burst = []
         for _ in range(count):
             self._flood_seq += 1
-            self._send_data_request(address, chunk, 0, last,
-                                    self._flood_seq)
+            burst.append((address, chunk, 0, last, self._flood_seq))
+        self._send_data_requests(burst)
 
     def _maintenance(self) -> None:
         if self.phase is not PeerPhase.ACTIVE:

@@ -177,46 +177,6 @@ class CandidatePool:
             out.extend(candidate.address for candidate in fresh)
         return out
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the pool (capacity, every candidate).
-
-        Insertion order is part of the snapshot — eviction scans the
-        dict in that order, so a restored pool must evict identically.
-        """
-        return {
-            "self_address": self.self_address,
-            "capacity": self.capacity,
-            "candidates": [
-                {"address": c.address, "first_seen": c.first_seen,
-                 "last_seen": c.last_seen, "source": c.source.value,
-                 "times_seen": c.times_seen,
-                 "backoff_until": c.backoff_until,
-                 "failures": c.failures, "strikes": c.strikes,
-                 "banned_until": c.banned_until}
-                for c in self._candidates.values()],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the pool in place from :meth:`snapshot_state`."""
-        self.self_address = state["self_address"]
-        self.capacity = state["capacity"]
-        self._candidates = {}
-        for fields in state["candidates"]:
-            candidate = Candidate(
-                address=fields["address"],
-                first_seen=fields["first_seen"],
-                last_seen=fields["last_seen"],
-                source=ListSource(fields["source"]),
-                times_seen=fields["times_seen"],
-                backoff_until=fields["backoff_until"],
-                failures=fields.get("failures", 0),
-                strikes=fields.get("strikes", 0),
-                banned_until=fields.get("banned_until", 0.0))
-            self._candidates[candidate.address] = candidate
-
     def addresses(self) -> List[str]:
         return list(self._candidates)
 

@@ -35,13 +35,10 @@ from ..streaming.chunks import ChunkGeometry
 from .config import ProtocolConfig
 from .neighbors import NeighborState, NeighborTable
 
-#: Callback the owning peer supplies to actually transmit a request:
-#: (neighbor_address, chunk, first, last, seq) -> None
-SendRequestFn = Callable[[str, int, int, int, int], None]
-
-#: Optional batch counterpart: one call with the whole tick's issues,
-#: each a (neighbor_address, chunk, first, last, seq) tuple, so the
-#: owning peer can hand the cohort to the transport in one pass.
+#: Callback the owning peer supplies to actually transmit requests: one
+#: call with the whole tick's issues, each a (neighbor_address, chunk,
+#: first, last, seq) tuple, so the owning peer can hand the cohort to
+#: the transport in one pass.
 SendRequestsFn = Callable[[List[tuple]], None]
 
 
@@ -80,14 +77,6 @@ class RequestRateLimiter:
     def forget(self, address: str) -> None:
         self._buckets.pop(address, None)
 
-    def snapshot_state(self) -> dict:
-        return {"buckets": {address: list(entry) for address, entry
-                            in self._buckets.items()}}
-
-    def restore_state(self, state: dict) -> None:
-        self._buckets = {address: tuple(entry) for address, entry
-                         in state["buckets"].items()}
-
 
 @dataclass
 class PendingRequest:
@@ -109,20 +98,18 @@ class DataScheduler:
 
     def __init__(self, sim: Simulator, config: ProtocolConfig,
                  geometry: ChunkGeometry, buffer: ChunkBuffer,
-                 neighbors: NeighborTable, send_request: SendRequestFn,
+                 neighbors: NeighborTable, send_requests: SendRequestsFn,
                  source_address: Optional[str] = None,
                  rng: Optional[random.Random] = None,
                  obs: Optional[Instrumentation] = None,
                  obs_tags: Optional[dict] = None,
                  actor: Optional[str] = None,
-                 span_parent: object = None,
-                 send_requests: Optional[SendRequestsFn] = None) -> None:
+                 span_parent: object = None) -> None:
         self.sim = sim
         self.config = config
         self.geometry = geometry
         self.buffer = buffer
         self.neighbors = neighbors
-        self.send_request = send_request
         self.send_requests = send_requests
         self.source_address = source_address
         self._rng = rng if rng is not None else sim.random.stream("scheduler")
@@ -215,13 +202,7 @@ class DataScheduler:
         # Transmit after planning completes: the tick's requests form
         # one send cohort.  Loss/jitter/scheduler RNG streams are
         # independent, so deferring the sends draws the same values.
-        send_requests = self.send_requests
-        if send_requests is not None and len(issues) > 1:
-            send_requests(issues)
-        else:
-            send_request = self.send_request
-            for address, issued_chunk, first, last, seq in issues:
-                send_request(address, issued_chunk, first, last, seq)
+        self.send_requests(issues)
 
     def _availability_snapshot(self) -> List[tuple]:
         """(estimated_have, have_from, state) per usable neighbor.

@@ -293,38 +293,6 @@ class Simulator:
         self._stopped = True
         self.queue.clear()
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the engine: clock, event counter,
-        queue contents and the RNG router's stream states.
-
-        Restoring it (:meth:`restore_state`) yields an engine that
-        executes the exact same future event sequence — same order,
-        same sequence numbers, same random draws — as the snapshotted
-        one.  Callbacks are captured by reference (see
-        ``EventQueue.snapshot_state`` for the picklability contract).
-        """
-        return {
-            "now": self.clock._now,
-            "events_executed": self.events_executed,
-            "seed": self.seed,
-            "stopped": self._stopped,
-            "queue": self.queue.snapshot_state(),
-            "random": self.random.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild this engine in place from :meth:`snapshot_state`."""
-        self.clock._now = state["now"]
-        self.events_executed = state["events_executed"]
-        self.seed = state["seed"]
-        self._stopped = state["stopped"]
-        self._running = False
-        self.queue.restore_state(state["queue"])
-        self.random.restore_state(state["random"])
-
     @property
     def stopped(self) -> bool:
         return self._stopped

@@ -46,16 +46,6 @@ class _NoArg:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<NO_ARG>"
 
-    def __reduce__(self):
-        # The engine dispatches on ``arg is _NO_ARG`` identity, so a
-        # snapshot that crosses a process boundary must unpickle back
-        # to the module singleton, not a fresh instance.
-        return (_restore_no_arg, ())
-
-
-def _restore_no_arg() -> "_NoArg":
-    return _NO_ARG
-
 
 #: Shared sentinel distinguishing "no argument" from "argument is None".
 _NO_ARG = _NoArg()
@@ -116,10 +106,8 @@ class EventQueue:
         # this list directly, so mutation must always be in place (the
         # list object is never rebound after construction).
         self._heap: list = []
-        # A plain int, not itertools.count(): the sequence counter is
-        # part of the deterministic execution order, so it must be
-        # snapshot-serializable (a resumed queue continues the exact
-        # FIFO tie-breaking the killed run would have used).
+        # The sequence counter is part of the deterministic execution
+        # order: it breaks same-timestamp ties in scheduling order.
         self._seq = 0
         self._live = 0
         self._dead = 0
@@ -213,8 +201,15 @@ class EventQueue:
         return entry[2]
 
     def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
+        """Drop every pending event.
+
+        Dropped events are marked cancelled, so a later :meth:`cancel`
+        of a handle held across the clear is a no-op.
+        """
+        heap = self._heap
+        for entry in heap:
+            entry[2].cancel()
+        heap.clear()
         self._live = 0
         self._dead = 0
 
@@ -223,64 +218,3 @@ class EventQueue:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._dead -= 1
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the queue: heap entries, counters,
-        free-list size.
-
-        Callbacks and args are captured as-is; whether the snapshot can
-        cross a process boundary therefore depends on *them* being
-        picklable (bound methods of picklable model objects, or
-        module-level functions).  ``restore_state`` of this snapshot
-        reproduces the exact pop order, sequence numbering and pooling
-        behaviour of the original queue — the round-trip is a fixed
-        point (see ``tests/test_snapshot_properties.py``).
-        """
-        return {
-            "entries": [
-                (event.time, event.seq, event.callback, event.arg,
-                 event.label, event.poolable, event.cancelled)
-                for _time, _seq, event in self._heap],
-            "next_seq": self._seq,
-            "pool_size": len(self._pool),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild this queue in place from :meth:`snapshot_state`."""
-        heap = []
-        live = 0
-        dead = 0
-        for time, seq, callback, arg, label, poolable, cancelled \
-                in state["entries"]:
-            event = Event(time, seq, callback, label)
-            event.arg = arg
-            event.poolable = poolable
-            if cancelled:
-                # Re-cancel through the same path the live queue used,
-                # so callback/arg are dropped identically.
-                event.cancel()
-                dead += 1
-            else:
-                live += 1
-            heap.append((time, seq, event))
-        heapq.heapify(heap)
-        # In-place: engine fast loops may hold an alias to the list.
-        self._heap[:] = heap
-        self._seq = state["next_seq"]
-        self._live = live
-        self._dead = dead
-        pool_size = min(state["pool_size"], _POOL_MAX)
-        pool = []
-        for _ in range(pool_size):
-            blank = Event(0.0, 0, _blank_callback)
-            blank.callback = None
-            blank.poolable = True
-            pool.append(blank)
-        self._pool[:] = pool
-
-
-def _blank_callback() -> None:  # pragma: no cover - never fires
-    """Placeholder for rebuilt free-list events (immediately cleared)."""

@@ -33,16 +33,6 @@ class TestModels:
         assert [a.serve_action() for _ in range(100)] \
             == [b.serve_action() for _ in range(100)]
 
-    def test_snapshot_restore_resumes_stream(self):
-        model = ChunkPolluter(seed=9)
-        for _ in range(10):
-            model.serve_action()
-        state = model.snapshot_state()
-        expected = [model.serve_action() for _ in range(20)]
-        restored = build_adversary(state["behavior"], state["seed"])
-        restored.restore_state(state)
-        assert [restored.serve_action() for _ in range(20)] == expected
-
     def test_free_rider_never_serves(self):
         model = FreeRider(seed=3)
         assert all(model.serve_action() == "miss" for _ in range(50))

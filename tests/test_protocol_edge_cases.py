@@ -109,8 +109,7 @@ class TestSchedulerEdges:
         neighbors = NeighborTable(capacity=4)
         sent = []
         scheduler = DataScheduler(sim, config, geometry, buffer,
-                                  neighbors,
-                                  lambda *args: sent.append(args))
+                                  neighbors, send_requests=sent.extend)
         state = neighbors.add("n1", now=0.0)
         state.record_availability(10, 0.0)
         scheduler.tick(live_chunk=10, playout_chunk=-1)
@@ -127,7 +126,8 @@ class TestSchedulerEdges:
         config = ProtocolConfig()
         buffer = ChunkBuffer(geometry, first_chunk=0)
         scheduler = DataScheduler(sim, config, geometry, buffer,
-                                  NeighborTable(4), lambda *a: None,
+                                  NeighborTable(4),
+                                  send_requests=lambda issues: None,
                                   source_address=None)
         scheduler.tick(live_chunk=10, playout_chunk=-100)
         assert scheduler.requests_issued == 0
@@ -139,7 +139,7 @@ class TestSchedulerEdges:
         sent = []
         scheduler = DataScheduler(sim, config, geometry, buffer,
                                   NeighborTable(4),
-                                  lambda *args: sent.append(args),
+                                  send_requests=sent.extend,
                                   source_address="9.9.9.9")
         # No neighbors at all: within the prefetch window only the
         # explicitly urgent chunks (<= 1) go to the source.

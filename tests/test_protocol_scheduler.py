@@ -33,8 +33,7 @@ class Harness:
         self.sent = []
         self.scheduler = DataScheduler(
             self.sim, config, geometry, self.buffer, self.neighbors,
-            send_request=lambda addr, chunk, first, last, seq:
-                self.sent.append((addr, chunk, first, last, seq)),
+            send_requests=self.sent.extend,
             source_address=source_address)
 
     def add_neighbor(self, address, have_until, have_from=0,

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (EngineStoppedError, SchedulingError, Simulator,
                        Sleep, spawn)
@@ -173,9 +175,14 @@ class TestStop:
 
     def test_stop_clears_queue(self):
         sim = Simulator()
-        sim.call_at(1.0, lambda: None)
+        held = sim.call_at(1.0, lambda: None)
         sim.stop()
         assert len(sim.queue) == 0
+        # A handle held across stop() was dropped with the queue: a late
+        # cancel must not decrement the live count a second time.
+        sim.cancel(held)
+        assert len(sim.queue) == 0
+        assert "pending=0" in repr(sim)
 
 
 class TestTimers:
@@ -315,6 +322,82 @@ class TestEventQueueInternals:
         assert queue
         queue.cancel(event)
         assert not queue
+
+
+def _cb() -> None:
+    pass
+
+
+def _cb_arg(arg) -> None:
+    pass
+
+
+#: One queue operation: (kind, time-ish int).  Times are small ints so
+#: same-timestamp ties (the FIFO tie-break path) are common, not rare.
+_QUEUE_OPS = st.lists(
+    st.tuples(st.sampled_from(["schedule", "pooled", "cancel", "pop",
+                               "clear"]),
+              st.integers(min_value=0, max_value=7)),
+    max_size=200)
+
+
+def _apply_queue_ops(queue, ops):
+    """Drive ``queue`` through ``ops`` against a reference model.
+
+    The model is a dict of live events, ``seq -> (time, seq)``.  After
+    every op the queue's live count must match it, and every pop must
+    return the model's smallest live ``(time, seq)``.
+    """
+    live = {}
+    handles = []
+    next_seq = 0
+    for kind, value in ops:
+        if kind == "schedule":
+            event = queue.schedule(float(value), _cb, label=f"t{value}")
+            assert event.seq == next_seq
+            handles.append(event)
+            live[next_seq] = (float(value), next_seq)
+            next_seq += 1
+        elif kind == "pooled":
+            queue.schedule_pooled(float(value), _cb_arg, arg=value,
+                                  label=f"p{value}")
+            live[next_seq] = (float(value), next_seq)
+            next_seq += 1
+        elif kind == "cancel" and handles:
+            event = handles[value % len(handles)]
+            queue.cancel(event)
+            live.pop(event.seq, None)
+        elif kind == "pop":
+            event = queue.pop()
+            if not live:
+                assert event is None
+            else:
+                expected = min(live.values())
+                assert (event.time, event.seq) == expected
+                del live[expected[1]]
+                # Mirror the engine: recycle pooled events, mark
+                # one-shot events consumed so a late cancel is a no-op.
+                if event.poolable:
+                    queue.recycle(event)
+                else:
+                    event.cancel()
+        elif kind == "clear":
+            queue.clear()
+            live.clear()
+        assert len(queue) == len(live)
+        assert bool(queue) == bool(live)
+
+
+class TestEventQueueModel:
+    @given(ops=_QUEUE_OPS)
+    # A handle held across clear() and cancelled afterwards.
+    @example(ops=[("schedule", 0), ("clear", 0), ("cancel", 0)])
+    @example(ops=[("schedule", 1), ("clear", 0), ("schedule", 2),
+                  ("cancel", 0), ("pop", 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_model(self, ops):
+        from repro.sim import EventQueue
+        _apply_queue_ops(EventQueue(), ops)
 
 
 class TestRunLoopFastPath:
