@@ -19,18 +19,15 @@ measurement substrate.  Three facets, bundled by
   ``repro status`` / ``repro top``,
 * :mod:`repro.obs.flows` — the streaming traffic-flow ledger: ISP×ISP
   traffic matrices, tumbling-window locality time-series and a top-k
-  peer-pair sketch behind ``--flows`` / ``repro flows``,
-* :mod:`repro.obs.attribution` — per-subsystem wall-time buckets
-  (transport / protocol / playback / faults / engine dispatch / ...)
-  derived from the profiler, embedded in the ``BENCH_*.json`` perf
-  artifacts and diffed by ``repro bench --diff``.
+  peer-pair sketch behind ``--flows`` / ``repro flows``.
+
+Cost by code layer is measured outside the package, by
+``python3 perfbench/run.py --trace 1`` (see ``perfbench/README.md``).
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog, trace schema and
 span model.
 """
 
-from .attribution import (LABEL_SUBSYSTEMS, SUBSYSTEMS, build_attribution,
-                          render_attribution, subsystem_of)
 from .export import (metrics_to_records, read_metrics_csv,
                      read_metrics_jsonl, strip_wall_metrics,
                      write_metrics_csv, write_metrics_jsonl)
@@ -81,8 +78,6 @@ __all__ = [
     "intra_share", "transit_share",
     "render_flow_summary", "render_flow_matrix", "render_flow_windows",
     "render_flow_top",
-    "SUBSYSTEMS", "LABEL_SUBSYSTEMS", "subsystem_of",
-    "build_attribution", "render_attribution",
     "metrics_to_records", "strip_wall_metrics",
     "write_metrics_jsonl", "read_metrics_jsonl",
     "write_metrics_csv", "read_metrics_csv",

@@ -5,8 +5,7 @@ locality, transit vs intra-ISP volume, contribution skew — but the rest
 of the observability stack only measures *how fast* a run is going.
 This module closes that gap with a constant-memory ledger that attaches
 to the transport's flow-sink seam (:meth:`repro.network.transport
-.UdpNetwork.set_flow_sink`; the general tap seam works too) and
-accounts every *delivered* datagram into:
+.UdpNetwork.set_flow_sink`) and accounts every *delivered* datagram into:
 
 1. an ISP x ISP x message-kind traffic matrix (bytes and datagrams),
    each cell classified as ``intra`` (same AS), ``transoceanic``
@@ -220,14 +219,12 @@ class SpaceSavingSketch:
 class FlowLedger:
     """Constant-memory flow accounting for one session.
 
-    Attach with ``udp.set_flow_sink(ledger.sink)`` (the dedicated
-    delivered-datagram seam; ``udp.add_tap(ledger.tap,
-    events=("recv",))`` is the general-seam equivalent).  Only
-    deliveries are accounted (the same quantity as the transport's
-    ``bytes_delivered`` counter, wire bytes = payload + 28-byte
-    header).  Memory is bounded by |ISPs|^2 x |message kinds| matrix
-    cells, the number of *non-empty* windows, and the sketch capacity —
-    never by datagram count.
+    Attach with ``udp.set_flow_sink(ledger.sink)``, the dedicated
+    delivered-datagram seam.  Only deliveries are accounted (the same
+    quantity as the transport's ``bytes_delivered`` counter, wire bytes
+    = payload + 28-byte header).  Memory is bounded by |ISPs|^2 x
+    |message kinds| matrix cells, the number of *non-empty* windows,
+    and the sketch capacity — never by datagram count.
 
     The per-datagram path does almost nothing: it bumps a pending
     ``(src, dst, kind) -> [bytes, datagrams]`` accumulator and checks
@@ -246,25 +243,23 @@ class FlowLedger:
     """
 
     __slots__ = (
-        "spec", "_window", "_directory", "_catalog", "_header_bytes",
-        "_classify", "_intra_class", "_ocean_class", "_isp_cache",
-        "_scope_cache", "_pair_cache", "totals", "_matrix", "_windows",
-        "_win", "_acc", "_fold_cache", "_pair_slots", "_isp_io",
-        "_win_until", "_sketch", "datagrams_ignored", "_adversarial")
+        "spec", "_window", "_directory", "_catalog", "_classify",
+        "_intra_class", "_ocean_class", "_isp_cache", "_scope_cache",
+        "_pair_cache", "totals", "_matrix", "_windows", "_win", "_acc",
+        "_fold_cache", "_pair_slots", "_isp_io", "_win_until", "_sketch",
+        "datagrams_ignored", "_adversarial")
 
     def __init__(self, directory, catalog,
                  spec: Optional[FlowSpec] = None) -> None:
         # Deferred import: repro.network imports repro.obs at module
         # load, so the obs package cannot import network symbols at the
         # top level without an import cycle.
-        from ..network.datagram import HEADER_BYTES
         from ..network.latency import PairClass, classify_pair
         self.spec = spec if spec is not None else FlowSpec()
         self.spec.validate()
         self._window = self.spec.window
         self._directory = directory
         self._catalog = catalog
-        self._header_bytes = HEADER_BYTES
         self._classify = classify_pair
         self._intra_class = PairClass.INTRA_ISP
         self._ocean_class = PairClass.TRANSOCEANIC
@@ -342,25 +337,6 @@ class FlowLedger:
             acc[0] += wire_bytes
             acc[1] += 1
 
-    def tap(self, event: str, datagram, time: float) -> None:
-        """Tap-seam attachment: account delivered datagrams only.
-
-        Equivalent to :meth:`sink` for ``recv`` events; useful when the
-        ledger shares the general tap seam with other observers.
-        """
-        if event != "recv":
-            return
-        if time >= self._win_until:
-            self._roll(time)
-        key = (datagram.src, datagram.dst, datagram.payload.__class__)
-        acc = self._acc.get(key)
-        if acc is None:
-            self._acc[key] = [
-                datagram.payload_bytes + self._header_bytes, 1]
-        else:
-            acc[0] += datagram.payload_bytes + self._header_bytes
-            acc[1] += 1
-
     def _isp_of(self, address: str):
         isp = self._isp_cache.get(address, _UNRESOLVED)
         if isp is not _UNRESOLVED:
@@ -418,7 +394,7 @@ class FlowLedger:
         needs that does not change between folds.
 
         ``key[2]`` is the payload class when the hot path accumulated
-        it (:meth:`sink` / :meth:`tap`) or already a kind string
+        it (:meth:`sink`) or already a kind string
         (:meth:`record`); either way the matrix cell is keyed by the
         kind *name*, so both spellings fold into the same cell.
         """

@@ -22,10 +22,9 @@ progress report to a stream.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .live import peak_rss_bytes
 from .trace import INFO
@@ -62,9 +61,6 @@ class EngineProfiler:
         self._labels: Dict[str, LabelProfile] = {}
         self.samples: List[EngineSample] = []
         self._started_at = perf_counter()
-        #: Coarse run-phase wall clocks ("setup", "sim", "analysis"):
-        #: cumulative, so multi-session runs (campaigns) accumulate.
-        self.phases: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Hot path (called by Simulator.step for every event)
@@ -75,25 +71,6 @@ class EngineProfiler:
             profile = self._labels[label] = LabelProfile()
         profile.count += 1
         profile.wall_seconds += wall_seconds
-
-    # ------------------------------------------------------------------
-    # Phases
-    # ------------------------------------------------------------------
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accumulate the wall time of one run phase under ``name``.
-
-        The attribution report (:mod:`repro.obs.attribution`) uses the
-        "sim" phase to separate event-loop dispatch overhead from
-        callback time, and "setup"/"analysis" to account the work
-        outside the loop entirely.
-        """
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            self.phases[name] = (self.phases.get(name, 0.0)
-                                 + perf_counter() - started)
 
     # ------------------------------------------------------------------
     # Sampling

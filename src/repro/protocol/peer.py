@@ -414,7 +414,7 @@ class PPLivePeer(Host):
             jitter_fn=lambda: self._rng.uniform(-0.3, 0.3),
             label="buffermap-round"))
         # Maintenance clocks playback (player.tick) plus the neighbor
-        # silence sweep; attribution buckets it under "playback".
+        # silence sweep.
         self._timers.append(self.sim.every(
             self.MAINTENANCE_INTERVAL, self._maintenance,
             label="playback-maintenance"))

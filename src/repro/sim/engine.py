@@ -148,9 +148,8 @@ class Simulator:
               label: str = "timer") -> Timer:
         """Create a repeating :class:`Timer` firing every ``period`` seconds.
 
-        ``label`` tags the timer's events for the profiler's
-        per-subsystem time attribution (``repro.obs.attribution``); it
-        never affects event order.
+        ``label`` tags the timer's events for the profiler's per-label
+        accounting; it never affects event order.
         """
         return Timer(self, period, callback, jitter_fn, label)
 

@@ -17,7 +17,6 @@ layer needs.
 from __future__ import annotations
 
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -351,115 +350,104 @@ class SessionScenario:
     def run(self) -> SessionResult:
         cfg = self.config
         obs = resolve_obs(cfg.instrumentation)
-        profiler = obs.profiler
-
-        def phase(name: str):
-            # Phase clocks feed the attribution report; without a
-            # profiler they cost nothing.
-            return (profiler.phase(name) if profiler is not None
-                    else nullcontext())
-
-        sim = Simulator(seed=cfg.seed, profiler=profiler)
+        sim = Simulator(seed=cfg.seed, profiler=obs.profiler)
         end_time = cfg.warmup + cfg.duration
         flow_spec = cfg.flows if cfg.flows is not None else (
             obs.flows_spec if obs.enabled else None)
-        with phase("setup"):
-            deployment = self.build_deployment(sim)
-            ledger = None
-            if flow_spec is not None:
-                ledger = FlowLedger(deployment.internet.directory,
-                                    deployment.internet.catalog, flow_spec)
-                deployment.internet.udp.set_flow_sink(ledger.sink)
-            if obs.trace.enabled_for(INFO):
-                obs.trace.emit(sim.now, INFO, "session_start",
-                               seed=cfg.seed,
-                               population=cfg.population,
-                               popularity=cfg.popularity.value,
-                               warmup=cfg.warmup, duration=cfg.duration,
-                               probes=[spec.name for spec in cfg.probes])
-            session_span = None
-            if obs.spans.enabled:
-                session_span = obs.spans.start_span(
-                    "session", "workload", sim.now, actor="session",
-                    seed=cfg.seed, population=cfg.population,
-                    popularity=cfg.popularity.value)
+        deployment = self.build_deployment(sim)
+        ledger = None
+        if flow_spec is not None:
+            ledger = FlowLedger(deployment.internet.directory,
+                                deployment.internet.catalog, flow_spec)
+            deployment.internet.udp.set_flow_sink(ledger.sink)
+        if obs.trace.enabled_for(INFO):
+            obs.trace.emit(sim.now, INFO, "session_start",
+                           seed=cfg.seed,
+                           population=cfg.population,
+                           popularity=cfg.popularity.value,
+                           warmup=cfg.warmup, duration=cfg.duration,
+                           probes=[spec.name for spec in cfg.probes])
+        session_span = None
+        if obs.spans.enabled:
+            session_span = obs.spans.start_span(
+                "session", "workload", sim.now, actor="session",
+                seed=cfg.seed, population=cfg.population,
+                popularity=cfg.popularity.value)
 
-            population_policy = cfg.policy_factory(deployment)
-            manager = PopulationManager(
-                sim, cfg.population,
-                spawn_viewer=lambda: self._make_viewer(deployment,
-                                                       population_policy),
-                churn=cfg.churn,
-                replace_departures=cfg.replace_departures)
-            manager.start()
+        population_policy = cfg.policy_factory(deployment)
+        manager = PopulationManager(
+            sim, cfg.population,
+            spawn_viewer=lambda: self._make_viewer(deployment,
+                                                   population_policy),
+            churn=cfg.churn,
+            replace_departures=cfg.replace_departures)
+        manager.start()
 
-            injector = None
-            if cfg.faults is not None and len(cfg.faults):
-                injector = FaultInjector(
-                    sim, cfg.faults,
-                    network=deployment.internet.udp,
-                    latency=deployment.internet.latency,
-                    bootstrap=deployment.bootstrap,
-                    trackers=deployment.trackers,
-                    source=deployment.source,
-                    population=manager,
-                    master_seed=cfg.seed,
-                    obs=cfg.instrumentation,
-                    flow_ledger=ledger)
-                injector.arm()
+        injector = None
+        if cfg.faults is not None and len(cfg.faults):
+            injector = FaultInjector(
+                sim, cfg.faults,
+                network=deployment.internet.udp,
+                latency=deployment.internet.latency,
+                bootstrap=deployment.bootstrap,
+                trackers=deployment.trackers,
+                source=deployment.source,
+                population=manager,
+                master_seed=cfg.seed,
+                obs=cfg.instrumentation,
+                flow_ledger=ledger)
+            injector.arm()
 
-            # Probes join after the warm-up, with sniffers already
-            # attached so the very first bootstrap packets are captured,
-            # as with Wireshark.
-            probe_peers: Dict[str, PPLivePeer] = {}
-            sniffers: Dict[str, ProbeSniffer] = {}
+        # Probes join after the warm-up, with sniffers already
+        # attached so the very first bootstrap packets are captured,
+        # as with Wireshark.
+        probe_peers: Dict[str, PPLivePeer] = {}
+        sniffers: Dict[str, ProbeSniffer] = {}
 
-            def launch_probe(spec: ProbeSpec) -> None:
-                peer = self._make_probe(deployment, spec)
-                sniffer = ProbeSniffer(deployment.internet.udp,
-                                       peer.address)
-                sniffer.start()
-                probe_peers[spec.name] = peer
-                sniffers[spec.name] = sniffer
-                peer.join()
+        def launch_probe(spec: ProbeSpec) -> None:
+            peer = self._make_probe(deployment, spec)
+            sniffer = ProbeSniffer(deployment.internet.udp,
+                                   peer.address)
+            sniffer.start()
+            probe_peers[spec.name] = peer
+            sniffers[spec.name] = sniffer
+            peer.join()
 
-            for spec in cfg.probes:
-                sim.call_after(cfg.warmup,
-                               lambda s=spec: launch_probe(s),
-                               label="probe-join")
+        for spec in cfg.probes:
+            sim.call_after(cfg.warmup,
+                           lambda s=spec: launch_probe(s),
+                           label="probe-join")
 
-            heartbeat = None
-            if obs.wants_heartbeat:
-                heartbeat = self._install_heartbeat(
-                    obs, sim, deployment, manager, probe_peers,
-                    injector=injector, sim_end=end_time, ledger=ledger)
+        heartbeat = None
+        if obs.wants_heartbeat:
+            heartbeat = self._install_heartbeat(
+                obs, sim, deployment, manager, probe_peers,
+                injector=injector, sim_end=end_time, ledger=ledger)
 
-            if cfg.run_hook is not None:
-                cfg.run_hook(sim, deployment, manager, probe_peers)
+        if cfg.run_hook is not None:
+            cfg.run_hook(sim, deployment, manager, probe_peers)
 
-        with phase("sim"):
-            sim.run_until(end_time)
+        sim.run_until(end_time)
 
         if heartbeat is not None:
             heartbeat.stop()
         if ledger is not None:
             deployment.internet.udp.clear_flow_sink()
             ledger.finish(sim.now)
-        with phase("analysis"):
-            if obs.enabled:
-                obs.metrics.counter("sim.events_executed").inc(
-                    sim.events_executed)
-                obs.metrics.counter("sim.sessions_run").inc()
-                obs.finalize()
-            manager.stop()
-            probes: Dict[str, ProbeResult] = {}
-            for spec in cfg.probes:
-                peer = probe_peers[spec.name]
-                peer.leave()
-                trace = sniffers[spec.name].stop()
-                probes[spec.name] = ProbeResult(
-                    spec=spec, peer=peer, trace=trace,
-                    report=match_all(trace))
+        if obs.enabled:
+            obs.metrics.counter("sim.events_executed").inc(
+                sim.events_executed)
+            obs.metrics.counter("sim.sessions_run").inc()
+            obs.finalize()
+        manager.stop()
+        probes: Dict[str, ProbeResult] = {}
+        for spec in cfg.probes:
+            peer = probe_peers[spec.name]
+            peer.leave()
+            trace = sniffers[spec.name].stop()
+            probes[spec.name] = ProbeResult(
+                spec=spec, peer=peer, trace=trace,
+                report=match_all(trace))
         if obs.trace.enabled_for(INFO):
             obs.trace.emit(sim.now, INFO, "session_end", seed=cfg.seed,
                            events_executed=sim.events_executed,

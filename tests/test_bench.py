@@ -1,21 +1,21 @@
-"""Tests for ``repro bench`` and the machine-readable perf baselines."""
+"""Tests for ``repro bench``, the golden-digest gate, and its pins."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.experiments.bench import (CAMPAIGN_FILE, ENGINE_FILE,
-                                     SCHEMA_VERSION, _check_drift, _merged,
+                                     SCHEMA_VERSION, _check_drift,
                                      campaign_config, engine_config,
                                      run_bench)
 
-ENGINE_FIELDS = {"profile", "seed", "events", "wall_seconds",
-                 "events_per_sec", "peak_rss_bytes", "golden_digest",
-                 "population", "sim_seconds"}
-CAMPAIGN_FIELDS = {"profile", "seed", "events", "wall_seconds",
-                   "events_per_sec", "peak_rss_bytes", "golden_digest",
-                   "series_digest", "days", "jobs"}
+ROOT = Path(__file__).resolve().parent.parent
+
+ENGINE_FIELDS = {"profile", "seed", "population", "sim_seconds", "events",
+                 "golden_digest"}
+CAMPAIGN_FIELDS = {"profile", "seed", "days", "events", "golden_digest",
+                   "series_digest"}
 
 
 class TestConfigs:
@@ -41,7 +41,7 @@ class TestConfigs:
 class TestDriftCheck:
     RECORDS = {"quick": {"golden_digest": "abc123" + "0" * 58}}
 
-    def test_matching_digest_passes(self, capsys):
+    def test_matching_digest_passes(self):
         import sys
         baseline = {"profiles": {"quick":
                                  {"golden_digest": "abc123" + "0" * 58}}}
@@ -56,6 +56,7 @@ class TestDriftCheck:
                                 sys.stderr)
         assert len(failures) == 1
         assert "drifted" in failures[0]
+        assert "golden_digest" in failures[0]
 
     def test_missing_baseline_fails(self):
         import sys
@@ -63,25 +64,15 @@ class TestDriftCheck:
         assert _check_drift({"profiles": {}}, self.RECORDS, "engine",
                             sys.stderr)
 
-    def test_merged_preserves_other_profiles(self, tmp_path):
-        path = tmp_path / ENGINE_FILE
-        path.write_text(json.dumps({
-            "schema": SCHEMA_VERSION, "benchmark": "engine",
-            "profiles": {"default": {"golden_digest": "d" * 64}}}))
-        merged = _merged(path, "engine", {"quick": {"golden_digest": "q"}})
-        assert set(merged["profiles"]) == {"default", "quick"}
-        assert merged["profiles"]["default"]["golden_digest"] == "d" * 64
-        assert merged["schema"] == SCHEMA_VERSION
-
 
 class TestBenchEndToEnd:
-    """One real quick engine run through the CLI, reused across asserts."""
+    """One real engine:quick run (~2 s), reused across asserts."""
 
     @pytest.fixture(scope="class")
     def bench_dir(self, tmp_path_factory):
         out_dir = tmp_path_factory.mktemp("bench")
-        assert main(["bench", "--quick", "--only", "engine",
-                     "--out-dir", str(out_dir)]) == 0
+        assert run_bench(out_dir, benchmarks=("engine",),
+                         profiles=("quick",)) == 0
         return out_dir
 
     def test_writes_engine_file_with_required_fields(self, bench_dir):
@@ -89,58 +80,57 @@ class TestBenchEndToEnd:
         assert data["schema"] == SCHEMA_VERSION
         assert data["benchmark"] == "engine"
         record = data["profiles"]["quick"]
-        assert ENGINE_FIELDS <= set(record)
+        assert set(record) == ENGINE_FIELDS
         assert record["events"] > 0
-        assert record["events_per_sec"] > 0
         assert len(record["golden_digest"]) == 64
         assert not (bench_dir / CAMPAIGN_FILE).exists()
 
+    def test_rerun_is_deterministic(self, bench_dir):
+        # The fresh engine:quick record reproduces the committed pin.
+        fresh = json.loads((bench_dir / ENGINE_FILE).read_text())
+        committed = json.loads((ROOT / ENGINE_FILE).read_text())
+        assert fresh["profiles"]["quick"] == committed["profiles"]["quick"]
+
     def test_check_against_own_baseline_passes(self, bench_dir, capsys):
-        assert main(["bench", "--quick", "--only", "engine",
-                     "--out-dir", str(bench_dir)]) == 0
-        assert main(["bench", "--quick", "--only", "engine", "--check",
-                     "--out-dir", str(bench_dir)]) == 0
+        before = (bench_dir / ENGINE_FILE).read_bytes()
+        assert run_bench(bench_dir, check=True, benchmarks=("engine",),
+                         profiles=("quick",)) == 0
         assert "digest OK" in capsys.readouterr().err
+        assert (bench_dir / ENGINE_FILE).read_bytes() == before
 
     def test_check_fails_on_tampered_baseline(self, bench_dir, tmp_path,
                                               capsys):
         tampered = json.loads((bench_dir / ENGINE_FILE).read_text())
         tampered["profiles"]["quick"]["golden_digest"] = "0" * 64
-        baseline_dir = tmp_path / "baseline"
-        baseline_dir.mkdir()
-        (baseline_dir / ENGINE_FILE).write_text(json.dumps(tampered))
-        code = run_bench(out_dir=tmp_path, quick=True, check=True,
-                         baseline_dir=baseline_dir, only="engine")
-        assert code == 1
-
-    def test_rerun_is_deterministic(self, bench_dir, tmp_path):
-        code = run_bench(out_dir=tmp_path, quick=True, only="engine")
-        assert code == 0
-        first = json.loads((bench_dir / ENGINE_FILE).read_text())
-        second = json.loads((tmp_path / ENGINE_FILE).read_text())
-        assert (first["profiles"]["quick"]["golden_digest"]
-                == second["profiles"]["quick"]["golden_digest"])
-        assert (first["profiles"]["quick"]["events"]
-                == second["profiles"]["quick"]["events"])
+        path = tmp_path / ENGINE_FILE
+        path.write_text(json.dumps(tampered))
+        before = path.read_bytes()
+        for _ in range(2):
+            # --check never writes, so a drifted pin cannot heal itself.
+            assert run_bench(tmp_path, check=True, benchmarks=("engine",),
+                             profiles=("quick",)) == 1
+            assert path.read_bytes() == before
+        assert "drifted" in capsys.readouterr().err
 
 
 class TestCommittedBaselines:
     """The repo-root BENCH files are real, current baselines."""
 
-    @pytest.fixture(scope="class")
-    def repo_root(self):
-        from pathlib import Path
-        return Path(__file__).resolve().parent.parent
-
-    def test_engine_baseline_committed(self, repo_root):
-        data = json.loads((repo_root / ENGINE_FILE).read_text())
+    def test_engine_baseline_committed(self):
+        data = json.loads((ROOT / ENGINE_FILE).read_text())
+        assert data["schema"] == SCHEMA_VERSION
         assert data["benchmark"] == "engine"
-        assert {"quick", "default"} <= set(data["profiles"])
+        assert set(data["profiles"]) == {"quick", "default"}
+        for record in data["profiles"].values():
+            assert set(record) == ENGINE_FIELDS
 
-    def test_campaign_baseline_committed_and_tied_to_goldens(self, repo_root):
+    def test_campaign_baseline_committed_and_tied_to_goldens(self):
         from tests.test_campaign_goldens import (GOLDEN_SERIES_DIGEST,
                                                  GOLDEN_TABLE_DIGEST)
-        data = json.loads((repo_root / CAMPAIGN_FILE).read_text())
+        data = json.loads((ROOT / CAMPAIGN_FILE).read_text())
+        assert data["schema"] == SCHEMA_VERSION
+        for record in data["profiles"].values():
+            assert set(record) == CAMPAIGN_FIELDS
         quick = data["profiles"]["quick"]
         # The quick campaign profile IS the golden config, so its committed
         # digests must equal the pinned campaign goldens.

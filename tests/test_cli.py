@@ -76,16 +76,14 @@ class TestParser:
         assert args.progress_jsonl == "p.jsonl"
         assert build_parser().parse_args(["fig06"]).progress_jsonl is None
 
-    def test_bench_parser_diff_and_threshold(self):
+    def test_bench_parser_accepts_only_check(self):
         parser = build_bench_parser()
-        args = parser.parse_args(["--diff", "a.json", "b.json"])
-        assert args.diff == ["a.json", "b.json"]
-        assert args.threshold == 0.10
-        args = parser.parse_args(["--diff"])
-        assert args.diff == []
-        args = parser.parse_args(["--threshold", "0.25"])
-        assert args.diff is None
-        assert args.threshold == 0.25
+        assert parser.parse_args([]).check is False
+        assert vars(parser.parse_args(["--check"])) == {"check": True}
+        for removed in (["--quick"], ["--diff"], ["--only", "engine"],
+                        ["--out-dir", "d"], ["--threshold", "0.6"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(removed)
 
     def test_status_and_top_parsers(self):
         args = build_status_parser().parse_args(["p.jsonl", "--json"])

@@ -163,9 +163,10 @@ class TestTransport:
             internet.udp.remove_tap(tap)
 
     def test_bound_method_tap_round_trips(self):
-        # Bound methods compare by (__self__, __func__): ledger.tap-style
-        # registration must add/detect/remove cleanly even though each
-        # attribute access builds a fresh bound-method object.
+        # Bound methods compare by (__self__, __func__):
+        # ProbeSniffer._tap-style registration must add/detect/remove
+        # cleanly even though each attribute access builds a fresh
+        # bound-method object.
         sim, internet, a, b = make_pair()
 
         class Sink:
